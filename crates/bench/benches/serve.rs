@@ -9,7 +9,6 @@ use hoiho::learner::{learn_all, LearnConfig};
 use hoiho_devkit::bench::{Harness, Throughput};
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
-use hoiho_obs::Obs;
 use hoiho_psl::PublicSuffixList;
 use hoiho_serve::server::Client;
 use hoiho_serve::{Engine, Model, ServerHandle, MIN_BATCH_CHUNK};
@@ -129,11 +128,9 @@ fn bench_tcp(h: &mut Harness, model: &Model, hostnames: &[String]) {
     // the sampled-tracing overhead row the --slo bench diff pairs with
     // socket_batch (DESIGN §7i budgets it at <5%). A fresh server so
     // the untraced run above never shares a sampler branch.
-    let obs = Arc::new(Obs::new());
-    obs.sampler().configure(64, 2020);
     let engine = Arc::new(Engine::new(model));
-    let srv = ServerHandle::start_obs("127.0.0.1:0", engine, 2, obs)
-        .expect("bind traced bench server");
+    let srv = ServerHandle::start("127.0.0.1:0", engine, 2).expect("bind traced bench server");
+    srv.obs().sampler().configure(64, 2020);
     let mut client = Client::connect(srv.local_addr()).expect("connect");
     // Warmup: the untraced server above entered its socket_batch
     // rounds with regexes already compiled by the earlier roundtrip

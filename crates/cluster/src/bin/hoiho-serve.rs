@@ -48,10 +48,10 @@
 //! documented in `hoiho_serve::server` (hostname per line, plus
 //! `BATCH <n>`, `STATS`, `STATS SUFFIX`, `METRICS`, `EVENTS [n]`,
 //! `SHUTDOWN`; single-engine servers take `RELOAD <path>`, cluster servers
-//! `RELOAD SHARD <k> <path>` and `STATS CLUSTER`). A clustered server
-//! shares one observability context between the protocol layer and the
-//! shard router, so `METRICS` reports request counters, latency
-//! histograms, and per-shard cache traffic in one document. `shard`
+//! `RELOAD SHARD <k> <path>` and `STATS CLUSTER`). The server adopts
+//! its backend's observability context, so `METRICS` reports request
+//! counters, latency histograms, and the backend's own series (engine
+//! dispatch outcomes, or per-shard cache traffic) in one document. `shard`
 //! materializes the same partition the clustered server builds in
 //! memory, for inspection or distribution.
 
@@ -67,7 +67,7 @@ use hoiho_scenario::compile::{ground_truth_rows, truth_suffixes};
 use hoiho_scenario::matrix::render_scenarios_json;
 use hoiho_scenario::{Scenario, ScenarioQuality};
 use hoiho_serve::server::Client;
-use hoiho_serve::{Engine, Model, ServerHandle};
+use hoiho_serve::{Backend, Engine, EngineBackend, Generation, Model, ServerHandle};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -477,20 +477,14 @@ fn inspect(path: &str) -> Result<(), String> {
 
 fn query(path: &str, hosts: &[&str]) -> Result<(), String> {
     let model = Model::load(path).map_err(|e| e.to_string())?;
-    let engine = Engine::new(&model);
+    let gen = Generation::new(Arc::new(Engine::new(&model)));
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
+    let mut line = Vec::new();
     let mut answer = |hostname: &str| {
-        let x = engine.extract(hostname);
-        let (suffix, class) = match x.nc {
-            Some(i) => {
-                let nc = &engine.conventions()[i];
-                (nc.suffix.as_str(), nc.class.label())
-            }
-            None => ("-", "-"),
-        };
-        let asn = x.asn.map_or_else(|| "-".to_string(), |a| a.to_string());
-        writeln!(out, "{hostname}\t{asn}\t{suffix}\t{class}").ok();
+        line.clear();
+        gen.query(hostname).render_line_into(hostname, &mut line);
+        out.write_all(&line).ok();
     };
     if hosts.is_empty() {
         for line in std::io::stdin().lock().lines() {
@@ -530,19 +524,18 @@ fn shard(path: &str, n: u32, outdir: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the server's observability context from the command line:
-/// the trace sampler (off unless `--trace-sample` is given) and the
-/// SLO objectives (`--slo FILE`, else the built-in defaults already
+/// Configures the server's observability context from the command
+/// line: the trace sampler (off unless `--trace-sample` is given) and
+/// the SLO objectives (`--slo FILE`, else the built-in defaults already
 /// installed by `Obs::new`).
-fn configured_obs(flags: &ClusterFlags) -> Result<Arc<Obs>, String> {
-    let obs = Arc::new(Obs::new());
+fn configure_obs(obs: &Obs, flags: &ClusterFlags) -> Result<(), String> {
     if let Some(every) = flags.trace_sample {
         obs.sampler().configure(every, flags.trace_seed.unwrap_or(0));
     }
     if let Some(path) = flags.slo.as_deref() {
         obs.slo().set_objectives(load_objectives(path)?);
     }
-    Ok(obs)
+    Ok(())
 }
 
 /// Reads and parses an SLO objective file.
@@ -554,42 +547,41 @@ fn load_objectives(path: &str) -> Result<Vec<slo::Objective>, String> {
 
 fn serve(path: &str, addr: &str, workers: usize, flags: &ClusterFlags) -> Result<(), String> {
     let model = Model::load(path).map_err(|e| e.to_string())?;
-    // One observability context for all layers: the router's
-    // per-shard/cache series, the server's request series, and the
+    let clustered = flags.shards.is_some() || flags.cache_capacity.is_some();
+    let shards = flags.shards.unwrap_or(1);
+    let capacity = flags.cache_capacity.unwrap_or(0);
+    let backend: Arc<dyn Backend> = if clustered {
+        let router =
+            ShardRouter::from_model(&model, shards, capacity).map_err(|e| e.to_string())?;
+        Arc::new(ClusterBackend::new(Arc::new(router)))
+    } else {
+        Arc::new(EngineBackend::new(Arc::new(Engine::new(&model))))
+    };
+    // The backend's observability context, which the server adopts: the
+    // backend's own series, the server's request series, and the
     // trace/profile/SLO state land in the same verbs.
-    let obs = configured_obs(flags)?;
+    let obs = backend.obs().expect("the serving backends own an Obs");
+    configure_obs(obs, flags)?;
     let tracing = match obs.sampler().every() {
         0 => String::new(),
         every => format!(", tracing 1 in {every}"),
     };
-    let srv = if flags.shards.is_some() || flags.cache_capacity.is_some() {
-        let shards = flags.shards.unwrap_or(1);
-        let capacity = flags.cache_capacity.unwrap_or(0);
-        let router = Arc::new(
-            ShardRouter::from_model_obs(&model, shards, capacity, Arc::clone(&obs))
-                .map_err(|e| e.to_string())?,
-        );
-        let backend = Arc::new(ClusterBackend::new(router));
-        let srv = ServerHandle::start_with_backend_obs(addr, backend, workers, obs)
-            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let srv = ServerHandle::start_with_backend(addr, backend, workers)
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    if clustered {
         eprintln!(
             "serving {} conventions across {shards} shards (cache capacity {capacity}) on {}{tracing} \
              (send SHUTDOWN to stop, RELOAD SHARD <k> <path> to hot-swap one shard)",
             model.len(),
             srv.local_addr()
         );
-        srv
     } else {
-        let engine = Arc::new(Engine::new(&model));
-        let srv = ServerHandle::start_obs(addr, engine, workers, obs)
-            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
         eprintln!(
             "serving {} conventions on {}{tracing} (send SHUTDOWN to stop, RELOAD <path> to hot-swap)",
             model.len(),
             srv.local_addr()
         );
-        srv
-    };
+    }
     srv.join();
     eprintln!("server stopped");
     Ok(())

@@ -4,15 +4,17 @@
 //! # Dispatch
 //!
 //! A global routing table maps every model suffix to its owning shard.
-//! A lookup lowercases the hostname once, then routes exactly the way
-//! a single engine dispatches: first by PSL registrable domain, then
-//! by longest-first label suffix. Because the routing table is the
-//! union of all shard indexes, the longest matching suffix globally is
-//! found even when registrable-domain routing misses — fallback
-//! semantics are preserved across shard boundaries, and the shard's own
-//! engine then re-dispatches internally to the same convention (the
-//! longest suffix it holds is the longest in the union, since a longer
-//! one in this shard would also be in the union).
+//! A lookup lowercases the hostname once, then routes by the same rule
+//! a single engine dispatches by ([`PublicSuffixList::dispatch`]):
+//! first by PSL registrable domain, then by longest-first label suffix,
+//! the outcome becoming the cached answer's route tag. Because the
+//! routing table is the union of all shard indexes, the longest
+//! matching suffix globally is found even when registrable-domain
+//! routing misses — fallback semantics are preserved across shard
+//! boundaries, and the shard's own engine then re-dispatches internally
+//! to the same convention (the longest suffix it holds is the longest
+//! in the union, since a longer one in this shard would also be in the
+//! union).
 //!
 //! # Cache safety across reloads
 //!
@@ -43,7 +45,7 @@ use crate::cache::{CacheStats, ShardedLru};
 use crate::plan::split;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
-use hoiho_psl::{label_suffixes, PublicSuffixList};
+use hoiho_psl::{Dispatch, PublicSuffixList};
 use hoiho_serve::model::Model;
 use hoiho_serve::server::{Backend, Generation, QueryAnswer};
 use hoiho_serve::Engine;
@@ -87,15 +89,13 @@ pub struct CachedAnswer {
     pub answer: QueryAnswer,
 }
 
-/// One shard: a hot-swappable engine generation plus its counters.
+/// One shard: a hot-swappable engine generation plus its reload count.
 struct ShardSlot {
     /// The live generation (engine + per-suffix counters).
     gen: RwLock<Arc<Generation>>,
     /// Bumped on every reload of this shard; cached exact routes record
     /// the value they were computed under.
     generation_no: AtomicU64,
-    /// Queries dispatched to this shard (cache hits not included).
-    queries: AtomicU64,
 }
 
 /// Point-in-time view of one shard for `STATS CLUSTER`.
@@ -107,7 +107,8 @@ pub struct ShardStats {
     pub generation: u64,
     /// Conventions currently owned.
     pub suffixes: usize,
-    /// Queries dispatched here since start (cache hits excluded).
+    /// Queries dispatched here since start (cache hits excluded), as
+    /// `hoiho_shard_queries_total` counts them.
     pub queries: u64,
 }
 
@@ -127,8 +128,8 @@ struct ShardMetrics {
 }
 
 /// The router's observability handles: one [`ShardMetrics`] per shard
-/// plus the `shard="none"` cache series, and the shared context for
-/// the `shard_reload` event stream.
+/// plus the `shard="none"` cache series, and the context they live in,
+/// which also carries the `shard_reload` event stream.
 struct RouterObs {
     obs: Arc<Obs>,
     shards: Vec<ShardMetrics>,
@@ -137,7 +138,10 @@ struct RouterObs {
 }
 
 impl RouterObs {
-    fn register(obs: Arc<Obs>, nshards: usize, suffix_counts: &[usize]) -> RouterObs {
+    /// A fresh context with the series of shards owning
+    /// `suffix_counts[k]` suffixes each registered.
+    fn register(suffix_counts: &[usize]) -> RouterObs {
+        let obs = Arc::new(Obs::new());
         let series = |label: &str| {
             let r = obs.registry();
             let l = &[("shard", label)];
@@ -153,7 +157,7 @@ impl RouterObs {
             }
         };
         let shards: Vec<ShardMetrics> =
-            (0..nshards).map(|k| series(&k.to_string())).collect();
+            (0..suffix_counts.len()).map(|k| series(&k.to_string())).collect();
         for (m, &n) in shards.iter().zip(suffix_counts) {
             m.suffixes.set(n as i64);
         }
@@ -185,34 +189,16 @@ pub struct ShardRouter {
     cache: ShardedLru<CachedAnswer>,
     /// Serializes reloads so routing rebuilds never interleave.
     reload_lock: Mutex<()>,
-    /// Per-shard metrics and the shard-reload event stream, when the
-    /// router was built with an observability context. `None` keeps
-    /// the hot path free of even the relaxed counter increments.
-    obs: Option<RouterObs>,
+    /// Per-shard and cache metrics and the shard-reload event stream.
+    obs: RouterObs,
 }
 
 impl ShardRouter {
-    /// Builds a router over pre-split shard models. Fails if the same
-    /// suffix appears in more than one shard.
+    /// Builds a router over pre-split shard models, registering its
+    /// per-shard and cache series in a fresh observability context
+    /// ([`ShardRouter::obs`]). Fails if the same suffix appears in more
+    /// than one shard.
     pub fn new(shard_models: &[Model], cache_capacity: usize) -> Result<ShardRouter, RouterError> {
-        ShardRouter::build(shard_models, cache_capacity, None)
-    }
-
-    /// Like [`ShardRouter::new`], but registers per-shard metrics in
-    /// `obs` and records `shard_reload` events to its event log.
-    pub fn new_obs(
-        shard_models: &[Model],
-        cache_capacity: usize,
-        obs: Arc<Obs>,
-    ) -> Result<ShardRouter, RouterError> {
-        ShardRouter::build(shard_models, cache_capacity, Some(obs))
-    }
-
-    fn build(
-        shard_models: &[Model],
-        cache_capacity: usize,
-        obs: Option<Arc<Obs>>,
-    ) -> Result<ShardRouter, RouterError> {
         if shard_models.is_empty() {
             return Err(RouterError("a cluster needs at least one shard".into()));
         }
@@ -232,12 +218,11 @@ impl ShardRouter {
             .map(|m| ShardSlot {
                 gen: RwLock::new(Generation::new(Arc::new(Engine::new(m)))),
                 generation_no: AtomicU64::new(0),
-                queries: AtomicU64::new(0),
             })
             .collect();
         let suffix_counts: Vec<usize> =
             shard_models.iter().map(|m| m.entries.len()).collect();
-        let obs = obs.map(|o| RouterObs::register(o, shard_models.len(), &suffix_counts));
+        let obs = RouterObs::register(&suffix_counts);
         Ok(ShardRouter {
             psl: PublicSuffixList::builtin(),
             slots,
@@ -259,16 +244,11 @@ impl ShardRouter {
         ShardRouter::new(&models, cache_capacity)
     }
 
-    /// Plans, splits, and builds in one step, with observability (see
-    /// [`ShardRouter::new_obs`]).
-    pub fn from_model_obs(
-        model: &Model,
-        shards: u32,
-        cache_capacity: usize,
-        obs: Arc<Obs>,
-    ) -> Result<ShardRouter, RouterError> {
-        let (models, _) = split(model, shards).map_err(|e| RouterError(e.to_string()))?;
-        ShardRouter::new_obs(&models, cache_capacity, obs)
+    /// The observability context the router records into: its
+    /// per-shard and cache series and `shard_reload` events. A server
+    /// over [`ClusterBackend`] adopts it.
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.obs.obs
     }
 
     /// Number of shards.
@@ -295,13 +275,12 @@ impl ShardRouter {
 
     /// Answers one hostname, through the cache.
     ///
-    /// Cache accounting when observability is attached: a hit is
-    /// charged to the cached route's shard, a miss to the shard that
-    /// ends up computing the answer, a stale-generation rejection to
-    /// the rejected entry's shard (stale lookups then recompute, so
-    /// they also count as misses — per shard, `hits + misses` over all
-    /// series equals total lookups), and an eviction to the shard of
-    /// the answer that was pushed out.
+    /// Cache accounting: a hit is charged to the cached route's shard,
+    /// a miss to the shard that ends up computing the answer, a
+    /// stale-generation rejection to the rejected entry's shard (stale
+    /// lookups then recompute, so they also count as misses — per
+    /// shard, `hits + misses` over all series equals total lookups),
+    /// and an eviction to the shard of the answer that was pushed out.
     pub fn lookup(&self, hostname: &str) -> QueryAnswer {
         self.lookup_traced(hostname, &TraceCtx::off())
     }
@@ -322,9 +301,7 @@ impl ShardRouter {
                 let current = self.route_current(&v.route);
                 if !current {
                     saw_stale = true;
-                    if let Some(o) = &self.obs {
-                        o.of_route(&v.route).cache_stale.inc();
-                    }
+                    self.obs.of_route(&v.route).cache_stale.inc();
                 }
                 current
             });
@@ -342,20 +319,16 @@ impl ShardRouter {
             hit
         };
         if let Some(hit) = cached {
-            if let Some(o) = &self.obs {
-                o.of_route(&hit.route).cache_hits.inc();
-            }
+            self.obs.of_route(&hit.route).cache_hits.inc();
             tag_route(&mut rsp, &hit.route);
             return hit.answer;
         }
         let (route, answer) = self.compute(&lower, ctx);
         tag_route(&mut rsp, &route);
-        if let Some(o) = &self.obs {
-            o.of_route(&route).cache_misses.inc();
-        }
+        self.obs.of_route(&route).cache_misses.inc();
         let evicted = self.cache.insert(&lower, CachedAnswer { route, answer: answer.clone() });
-        if let (Some(o), Some(ev)) = (&self.obs, evicted) {
-            o.of_route(&ev.route).cache_evictions.inc();
+        if let Some(ev) = evicted {
+            self.obs.of_route(&ev.route).cache_evictions.inc();
         }
         answer
     }
@@ -365,21 +338,6 @@ impl ShardRouter {
         self.compute(&hostname.to_ascii_lowercase(), &TraceCtx::off()).1
     }
 
-    /// Answers a `BATCH` of hostnames in order. Each item goes through
-    /// the same cached [`ShardRouter::lookup`] path as a single query,
-    /// so cache accounting, route tags, and reload safety are identical
-    /// item for item.
-    pub fn lookup_batch(&self, hostnames: &[&str]) -> Vec<QueryAnswer> {
-        self.lookup_batch_traced(hostnames, &TraceCtx::off())
-    }
-
-    /// [`ShardRouter::lookup_batch`] under a tracing context; each item
-    /// records its own router/cache/engine spans until the context's
-    /// span budget is spent.
-    pub fn lookup_batch_traced(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
-        hostnames.iter().map(|h| self.lookup_traced(h, ctx)).collect()
-    }
-
     /// The routed compute path. Sampling order matters (module docs):
     /// epoch, then routing, then the shard's generation, then its
     /// engine — a racing reload leaves the tag stale, never the answer
@@ -387,32 +345,26 @@ impl ShardRouter {
     fn compute(&self, lower: &str, ctx: &TraceCtx) -> (Route, QueryAnswer) {
         let epoch = self.epoch.load(Ordering::Acquire);
         let routing = Arc::clone(&self.routing.read().unwrap());
-        // Exact: route by registrable domain, as the engine does first.
-        if let Some(rd) = self.psl.registrable_domain(lower) {
-            if let Some(&shard) = routing.get(&rd) {
+        // Against the union of the shard indexes, so a fallback finds
+        // the longest label suffix anywhere in the cluster.
+        match self.psl.dispatch(lower, |k| routing.get(k).copied()) {
+            Dispatch::Exact(shard) => {
                 let generation =
                     self.slots[shard as usize].generation_no.load(Ordering::Acquire);
                 let answer = self.query_shard(shard, lower, ctx);
-                return (Route::Exact { shard, generation }, answer);
+                (Route::Exact { shard, generation }, answer)
             }
-        }
-        // Fallback: longest label suffix anywhere in the union.
-        for s in label_suffixes(lower) {
-            if let Some(&shard) = routing.get(s) {
-                let answer = self.query_shard(shard, lower, ctx);
-                return (Route::Fallback { shard, epoch }, answer);
+            Dispatch::Fallback(shard) => {
+                (Route::Fallback { shard, epoch }, self.query_shard(shard, lower, ctx))
             }
+            Dispatch::Miss => (Route::Miss { epoch }, QueryAnswer::MISS),
         }
-        (Route::Miss { epoch }, QueryAnswer::MISS)
     }
 
     /// Dispatches a pre-lowercased hostname to shard `k`'s engine.
     fn query_shard(&self, k: u32, lower: &str, ctx: &TraceCtx) -> QueryAnswer {
         let slot = &self.slots[k as usize];
-        slot.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.shards[k as usize].queries.inc();
-        }
+        self.obs.shards[k as usize].queries.inc();
         let mut esp = ctx.span(Layer::Engine);
         esp.shard(k);
         esp.generation(slot.generation_no.load(Ordering::Acquire));
@@ -461,21 +413,19 @@ impl ShardRouter {
         slot.generation_no.fetch_add(1, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::Release);
         self.cache.invalidate(|v| !self.route_current(&v.route));
-        if let Some(o) = &self.obs {
-            let m = &o.shards[k as usize];
-            m.reloads.inc();
-            let generation = slot.generation_no.load(Ordering::Acquire);
-            m.generation.set(generation as i64);
-            m.suffixes.set(n as i64);
-            o.obs.events().record(
-                "shard_reload",
-                &[
-                    ("shard", &k.to_string()),
-                    ("generation", &generation.to_string()),
-                    ("conventions", &n.to_string()),
-                ],
-            );
-        }
+        let m = &self.obs.shards[k as usize];
+        m.reloads.inc();
+        let generation = slot.generation_no.load(Ordering::Acquire);
+        m.generation.set(generation as i64);
+        m.suffixes.set(n as i64);
+        self.obs.obs.events().record(
+            "shard_reload",
+            &[
+                ("shard", &k.to_string()),
+                ("generation", &generation.to_string()),
+                ("conventions", &n.to_string()),
+            ],
+        );
         Ok(n)
     }
 
@@ -502,12 +452,13 @@ impl ShardRouter {
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.slots
             .iter()
+            .zip(&self.obs.shards)
             .enumerate()
-            .map(|(k, slot)| ShardStats {
+            .map(|(k, (slot, m))| ShardStats {
                 shard: k as u32,
                 generation: slot.generation_no.load(Ordering::Acquire),
                 suffixes: slot.gen.read().unwrap().engine.len(),
-                queries: slot.queries.load(Ordering::Relaxed),
+                queries: m.queries.get(),
             })
             .collect()
     }
@@ -541,9 +492,10 @@ fn tag_route(sp: &mut SpanHandle<'_>, route: &Route) {
 }
 
 /// [`Backend`] adapter plugging a [`ShardRouter`] into the serve
-/// protocol loop: queries go through the cache, `RELOAD SHARD <k>
-/// <path>` reloads one shard, and `STATS CLUSTER` reports shard and
-/// cache counters.
+/// protocol loop: queries (single and batched) go through the cache,
+/// `RELOAD SHARD <k> <path>` reloads one shard, `STATS CLUSTER` reports
+/// shard and cache counters, and the server adopts the router's
+/// observability context.
 pub struct ClusterBackend {
     router: Arc<ShardRouter>,
 }
@@ -563,10 +515,6 @@ impl ClusterBackend {
 impl Backend for ClusterBackend {
     fn query(&self, hostname: &str, ctx: &TraceCtx) -> QueryAnswer {
         self.router.lookup_traced(hostname, ctx)
-    }
-
-    fn query_batch(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
-        self.router.lookup_batch_traced(hostnames, ctx)
     }
 
     fn model_len(&self) -> usize {
@@ -614,6 +562,10 @@ impl Backend for ClusterBackend {
         );
         body.push_str(".\n");
         Some(body)
+    }
+
+    fn obs(&self) -> Option<&Arc<Obs>> {
+        Some(self.router.obs())
     }
 }
 
@@ -665,15 +617,35 @@ mod tests {
     #[test]
     fn router_matches_single_engine_for_all_shard_counts() {
         let m = model();
-        let single = Engine::new(&m);
+        let registry = hoiho_obs::Registry::new();
+        let mut single = Engine::new(&m);
+        single.attach_obs(hoiho_serve::engine::EngineObs::register(&registry));
+        // The dispatch outcome the single engine counted for one lookup.
+        let counts = || {
+            ["exact", "fallback", "miss"].map(|d| {
+                registry.counter("hoiho_engine_extractions_total", &[("dispatch", d)]).get()
+            })
+        };
         for shards in [1u32, 2, 3, 4] {
             let router = ShardRouter::from_model(&m, shards, 64).unwrap();
             for h in HOSTS {
+                let before = counts();
                 let direct = single.extract(h);
+                let after = counts();
+                let counted: Vec<usize> = (0..3).filter(|&i| after[i] != before[i]).collect();
                 let routed = router.lookup(h);
                 assert_eq!(routed.asn, direct.asn, "shards={shards} host={h}");
                 let expect_suffix = direct.nc.map(|i| single.conventions()[i].suffix.clone());
                 assert_eq!(routed.suffix, expect_suffix, "shards={shards} host={h}");
+                // The route the router cached is the dispatch outcome
+                // the engine counted: both run the one PSL rule.
+                let cached = router.cache().get(&h.to_ascii_lowercase()).unwrap();
+                let kind = match cached.route {
+                    Route::Exact { .. } => 0,
+                    Route::Fallback { .. } => 1,
+                    Route::Miss { .. } => 2,
+                };
+                assert_eq!(counted, [kind], "shards={shards} host={h} route={:?}", cached.route);
                 // And the cached second read agrees.
                 assert_eq!(router.lookup(h), routed, "shards={shards} host={h} cached");
             }
@@ -793,8 +765,8 @@ mod tests {
     #[test]
     fn per_shard_metrics_account_exactly() {
         let m = model();
-        let obs = Arc::new(Obs::new());
-        let router = ShardRouter::from_model_obs(&m, 2, 64, Arc::clone(&obs)).unwrap();
+        let router = ShardRouter::from_model(&m, 2, 64).unwrap();
+        let obs = router.obs();
         let routing = Arc::clone(&router.routing.read().unwrap());
         let eq = routing["equinix.com"];
         let s = eq.to_string();

@@ -15,7 +15,7 @@
 use super::{Target, HOSTCHARS};
 use crate::corpus::case_hash;
 use crate::input::FuzzInput;
-use hoiho_cluster::ShardRouter;
+use hoiho_cluster::{ClusterBackend, ShardRouter};
 use hoiho_serve::server::Backend;
 use hoiho_serve::{Engine, EngineBackend, Model};
 use std::sync::Arc;
@@ -133,6 +133,7 @@ impl Target for ArtifactTarget {
         let shards = 1 + (case_hash(case) % 3) as u32;
         let router = ShardRouter::from_model(&model, shards, 64)
             .map_err(|e| format!("split({shards}) failed on a valid model: {e}"))?;
+        let cluster = ClusterBackend::new(Arc::new(router));
         let mut hosts: Vec<String> = vec!["unrelated.example.org".into(), String::new()];
         for e in &model.entries {
             hosts.push(format!("as64500.{}", e.suffix));
@@ -142,7 +143,7 @@ impl Target for ArtifactTarget {
         let off = hoiho_obs::TraceCtx::off();
         for h in &hosts {
             let a = single.query(h, &off);
-            let b = router.lookup(h);
+            let b = cluster.query(h, &off);
             if a != b {
                 return Err(format!(
                     "sharded({shards}) diverges from single engine on {h:?}: {a:?} vs {b:?}"
@@ -151,7 +152,7 @@ impl Target for ArtifactTarget {
         }
         let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
         let a = single.query_batch(&refs, &off);
-        let b = router.lookup_batch(&refs);
+        let b = cluster.query_batch(&refs, &off);
         if a != b {
             return Err(format!("sharded({shards}) batch diverges from single engine"));
         }

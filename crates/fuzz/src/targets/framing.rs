@@ -138,9 +138,7 @@ impl FramingTarget {
                 return true;
             }
             let answer = self.backend.query(request, &hoiho_obs::TraceCtx::off());
-            out.extend_from_slice(
-                format!("{request}\t{}\n", answer.render_fields()).as_bytes(),
-            );
+            answer.render_line_into(request, out);
             true
         };
 

@@ -5,13 +5,15 @@
 //! "using the Mozilla public suffix list"). This crate implements the
 //! [Public Suffix List algorithm](https://publicsuffix.org/list/) — rules,
 //! wildcard rules (`*.ck`), and exception rules (`!www.ck`) — and exposes
-//! the two lookups Hoiho needs:
+//! the lookups Hoiho needs:
 //!
 //! * [`PublicSuffixList::public_suffix`] — the effective TLD of a hostname
 //!   (e.g. `org.nz` for `luckie.org.nz`).
 //! * [`PublicSuffixList::registrable_domain`] — the suffix Hoiho groups by:
 //!   the public suffix plus one label (e.g. `equinix.com` for
 //!   `p714.sgw.equinix.com`).
+//! * [`PublicSuffixList::dispatch`] — the serving-side rule that finds a
+//!   hostname's entry in a suffix-keyed index of learned conventions.
 //!
 //! The list snapshot embedded in [`PublicSuffixList::builtin`] covers the
 //! effective TLDs exercised by this reproduction (generic TLDs plus the
@@ -184,34 +186,50 @@ impl PublicSuffixList {
         self.lookup(hostname).and_then(|m| m.registrable)
     }
 
-    /// The keys to probe a suffix-keyed index with, in priority order:
-    /// the PSL registrable domain first (the key the learner groups
-    /// by), then every label-boundary suffix longest-first (so a model
-    /// keyed deeper than — or, under PSL drift, differently from — the
+    /// Resolves a hostname against a suffix-keyed index: the PSL
+    /// registrable domain first (the key the learner groups by), then
+    /// every label-boundary suffix longest-first (so a model keyed
+    /// deeper than — or, under PSL drift, differently from — the
     /// registrable domain is still reachable, deepest suffix winning).
     ///
-    /// `lower` must already be lowercased; the yielded keys are then
-    /// lowercase too. Both the serving engine and the cluster router
-    /// dispatch through this, which is what keeps their suffix choice
-    /// identical for any hostname.
-    pub fn dispatch_keys<'n>(
+    /// `probe` looks one key up in the index; the first hit wins and is
+    /// reported as [`Dispatch::Exact`] when it was the registrable
+    /// domain, [`Dispatch::Fallback`] otherwise. `lower` must already
+    /// be lowercased, so every probed key is lowercase too. The serving
+    /// engine and the cluster router both dispatch through this, which
+    /// is what keeps their suffix choice identical for any hostname.
+    pub fn dispatch<T>(
         &self,
-        lower: &'n str,
-    ) -> impl Iterator<Item = std::borrow::Cow<'n, str>> {
-        let rd = self.registrable_domain(lower).map(std::borrow::Cow::Owned);
-        rd.into_iter().chain(label_suffixes(lower).map(std::borrow::Cow::Borrowed))
+        lower: &str,
+        mut probe: impl FnMut(&str) -> Option<T>,
+    ) -> Dispatch<T> {
+        if let Some(hit) = self.registrable_domain(lower).and_then(|rd| probe(&rd)) {
+            return Dispatch::Exact(hit);
+        }
+        label_suffixes(lower).find_map(probe).map_or(Dispatch::Miss, Dispatch::Fallback)
     }
+}
+
+/// Where [`PublicSuffixList::dispatch`] found a hostname's index entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch<T> {
+    /// The registrable domain itself is in the index.
+    Exact(T),
+    /// A label-boundary suffix probe found the entry instead.
+    Fallback(T),
+    /// No suffix of the hostname is in the index.
+    Miss,
 }
 
 /// Iterates the suffixes of `hostname` at label boundaries, longest
 /// (the whole name) first: `a.b.c` → `a.b.c`, `b.c`, `c`.
 ///
-/// Serving-side dispatch uses this to probe a suffix-keyed index when
-/// the PSL-derived registrable domain misses — a model may key a suffix
-/// deeper than (or, with a different PSL snapshot, different from) the
-/// registrable domain the local list computes. A trailing dot is
-/// ignored; the empty hostname yields nothing.
-pub fn label_suffixes(hostname: &str) -> impl Iterator<Item = &str> {
+/// [`PublicSuffixList::dispatch`] probes these when the PSL-derived
+/// registrable domain misses — a model may key a suffix deeper than
+/// (or, with a different PSL snapshot, different from) the registrable
+/// domain the local list computes. A trailing dot is ignored; the empty
+/// hostname yields nothing.
+fn label_suffixes(hostname: &str) -> impl Iterator<Item = &str> {
     let name = hostname.trim_end_matches('.');
     let whole = (!name.is_empty()).then_some(name);
     whole.into_iter().chain(
@@ -277,19 +295,50 @@ mod tests {
         assert_eq!(label_suffixes("a.b.").collect::<Vec<_>>(), ["a.b", "b"]);
     }
 
+    /// Dispatches `lower` against an index holding `keys`, returning the
+    /// outcome (carrying the hit key) and every key probed, in order.
+    fn dispatch_over(keys: &[&str], lower: &str) -> (Dispatch<String>, Vec<String>) {
+        let mut probed = Vec::new();
+        let d = psl().dispatch(lower, |k| {
+            probed.push(k.to_string());
+            keys.contains(&k).then(|| k.to_string())
+        });
+        (d, probed)
+    }
+
     #[test]
-    fn dispatch_keys_registrable_first_then_longest_suffixes() {
-        let p = psl();
-        let got: Vec<String> =
-            p.dispatch_keys("p714.sgw.equinix.com").map(|c| c.into_owned()).collect();
+    fn dispatch_registrable_first_then_longest_suffixes() {
+        let host = "p714.sgw.equinix.com";
+        // The registrable domain hits: exact, after a single probe,
+        // even when a deeper suffix is also indexed.
+        let (d, probed) = dispatch_over(&["equinix.com", "sgw.equinix.com"], host);
+        assert_eq!(d, Dispatch::Exact("equinix.com".to_string()));
+        assert_eq!(probed, ["equinix.com"]);
+        // A suffix keyed deeper than the registrable domain: fallback,
+        // found longest-first.
+        let (d, probed) = dispatch_over(&["sgw.equinix.com", "com"], host);
+        assert_eq!(d, Dispatch::Fallback("sgw.equinix.com".to_string()));
+        assert_eq!(probed, ["equinix.com", "p714.sgw.equinix.com", "sgw.equinix.com"]);
+        // The registrable domain missing from the index: a shorter
+        // suffix still answers, as a fallback.
+        let (d, _) = dispatch_over(&["com"], host);
+        assert_eq!(d, Dispatch::Fallback("com".to_string()));
+        // Nothing covers the name: every key probed, then a miss.
+        let (d, probed) = dispatch_over(&["example.org"], host);
+        assert_eq!(d, Dispatch::Miss);
         assert_eq!(
-            got,
+            probed,
             ["equinix.com", "p714.sgw.equinix.com", "sgw.equinix.com", "equinix.com", "com"]
         );
-        // A public suffix alone has no registrable domain: only the
-        // label-suffix probes remain.
-        assert_eq!(p.dispatch_keys("com").map(|c| c.into_owned()).collect::<Vec<_>>(), ["com"]);
-        assert_eq!(p.dispatch_keys("").count(), 0);
+        // A public suffix alone has no registrable domain, so a hit on
+        // it can only be a fallback.
+        let (d, probed) = dispatch_over(&["com"], "com");
+        assert_eq!(d, Dispatch::Fallback("com".to_string()));
+        assert_eq!(probed, ["com"]);
+        // The empty name probes nothing.
+        let (d, probed) = dispatch_over(&["", "com"], "");
+        assert_eq!(d, Dispatch::Miss);
+        assert!(probed.is_empty(), "{probed:?}");
     }
 
     #[test]

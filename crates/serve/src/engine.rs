@@ -9,7 +9,8 @@
 //! When the registrable domain is not in the index (a model keyed under
 //! a deeper suffix, or a PSL snapshot drift between trainer and
 //! server), dispatch falls back to probing every label-boundary suffix
-//! of the hostname, longest first.
+//! of the hostname, longest first. The rule is written once, as
+//! [`PublicSuffixList::dispatch`], which the cluster router shares.
 //!
 //! Batch extraction ([`Engine::extract_all`]) fans out over scoped
 //! threads with each worker writing disjoint output slots, so results
@@ -19,7 +20,7 @@ use crate::model::Model;
 use hoiho::classify::NcClass;
 use hoiho::regex::{CompiledRegex, MultiMatcher, Regex};
 use hoiho_obs::{Counter, Registry};
-use hoiho_psl::PublicSuffixList;
+use hoiho_psl::{Dispatch, PublicSuffixList};
 use std::collections::HashMap;
 
 /// Minimum number of hostnames a batch worker must own before
@@ -105,11 +106,11 @@ impl Extraction {
 }
 
 /// Pre-registered dispatch-outcome counters for an engine
-/// (`hoiho_engine_extractions_total{dispatch=...}`): `exact` when the
-/// PSL registrable domain hit the index directly, `fallback` when a
-/// label-boundary suffix probe found the convention instead, `miss`
-/// when no suffix covered the hostname. Cloning shares the underlying
-/// counters.
+/// (`hoiho_engine_extractions_total{dispatch=...}`), one per
+/// [`Dispatch`] outcome: `exact` when the PSL registrable domain hit
+/// the index directly, `fallback` when a label-boundary suffix probe
+/// found the convention instead, `miss` when no suffix covered the
+/// hostname. Cloning shares the underlying counters.
 #[derive(Debug, Clone)]
 pub struct EngineObs {
     exact: Counter,
@@ -133,10 +134,10 @@ impl EngineObs {
 /// engine can be shared across server workers behind an `Arc` and
 /// hot-swapped atomically (see [`crate::server`]).
 ///
-/// Counting is opt-in via [`Engine::attach_obs`]: an unattached engine
-/// (the default, and what the benches measure) pays only a dead
-/// `Option` check per lookup; an attached one adds a single relaxed
-/// atomic increment.
+/// Counting is opt-in via [`Engine::attach_obs`], which the serving
+/// backend ([`crate::server::EngineBackend`]) does for every engine it
+/// serves: an unattached engine pays only a dead `Option` check per
+/// lookup; an attached one adds a single relaxed atomic increment.
 #[derive(Debug, Clone)]
 pub struct Engine {
     psl: PublicSuffixList,
@@ -187,36 +188,24 @@ impl Engine {
     }
 
     /// Finds the convention index responsible for `lower` (an
-    /// already-lowercased hostname), if any: the PSL registrable domain
-    /// first, then every label-boundary suffix longest-first — the same
-    /// probe order as [`PublicSuffixList::dispatch_keys`] (shared with
-    /// the cluster router so both layers pick the same suffix), spelled
-    /// out in two steps here so the dispatch-outcome counters can tell
-    /// an exact registrable-domain hit from a fallback probe.
+    /// already-lowercased hostname), if any, by the one dispatch rule
+    /// ([`PublicSuffixList::dispatch`], shared with the cluster router
+    /// so both layers pick the same suffix), counting the outcome when
+    /// counters are attached.
     fn dispatch(&self, lower: &str) -> Option<usize> {
-        // The uninstrumented path stays the single shared-probe-order
-        // iterator — measurably (~3%) cheaper than the spelled-out
-        // version below, and what the extraction benches measure.
-        let Some(obs) = &self.obs else {
-            return self
-                .psl
-                .dispatch_keys(lower)
-                .find_map(|k| self.by_suffix.get(k.as_ref()).copied());
-        };
-        if let Some(rd) = self.psl.registrable_domain(lower) {
-            if let Some(&i) = self.by_suffix.get(rd.as_str()) {
-                obs.exact.inc();
-                return Some(i);
+        let d = self.psl.dispatch(lower, |k| self.by_suffix.get(k).copied());
+        if let Some(obs) = &self.obs {
+            match d {
+                Dispatch::Exact(_) => &obs.exact,
+                Dispatch::Fallback(_) => &obs.fallback,
+                Dispatch::Miss => &obs.miss,
             }
+            .inc();
         }
-        for s in hoiho_psl::label_suffixes(lower) {
-            if let Some(&i) = self.by_suffix.get(s) {
-                obs.fallback.inc();
-                return Some(i);
-            }
+        match d {
+            Dispatch::Exact(i) | Dispatch::Fallback(i) => Some(i),
+            Dispatch::Miss => None,
         }
-        obs.miss.inc();
-        None
     }
 
     /// Looks up one hostname: dispatch to its suffix's NC, then run the

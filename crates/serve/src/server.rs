@@ -8,7 +8,10 @@
 //!   extraction, the dispatched suffix, and its §4 class; `-` marks the
 //!   missing parts.
 //! * `STATS` → `stats\thits=N\tmisses=N\terrors=N\tconns=N\tmodel=K`
-//!   — lifetime totals plus the live model's convention count.
+//!   — lifetime totals plus the live model's convention count. The
+//!   totals are the `METRICS` series `hoiho_requests_total{verb="query"}`
+//!   (hit/miss), `hoiho_protocol_errors_total` and
+//!   `hoiho_connections_total`, read back.
 //! * `STATS SUFFIX` → one `suffix\tqueries` line per convention of the
 //!   live model, terminated by a lone `.` line.
 //! * `STATS CLUSTER` → per-shard and response-cache counters when the
@@ -42,7 +45,11 @@
 //! The protocol loop is backend-agnostic: extraction, reload, and the
 //! stats listings go through the [`Backend`] trait, so the same server
 //! fronts a single hot-swappable engine ([`EngineBackend`]) or the
-//! suffix-sharded router in `hoiho-cluster`.
+//! suffix-sharded router in `hoiho-cluster`. Each of those backends
+//! owns an observability context ([`Backend::obs`]) holding its own
+//! series; the server adopts it and registers its request series in
+//! the same registry, so `METRICS` reports every layer in one document
+//! and the sampler configured on it traces every layer of a request.
 //!
 //! ## Trust model
 //!
@@ -82,11 +89,12 @@
 //! In the default backend the live engine sits behind
 //! `RwLock<Arc<Generation>>`: each request clones the `Arc` under a
 //! read lock (nanoseconds), so a hot reload
-//! ([`ServerHandle::install`] or `RELOAD`) swaps the model without
-//! dropping or stalling open connections — in-flight requests finish on
-//! the engine they started with. Per-suffix counters are allocated per
-//! engine generation and travel with it, so a reload resets them while
-//! the lifetime totals keep counting.
+//! ([`EngineBackend::install`], which `RELOAD` calls) swaps the model
+//! without dropping or stalling open connections — in-flight requests
+//! finish on the engine they started with. Per-suffix counters are
+//! allocated per engine generation and travel with it, so a reload
+//! resets them while the lifetime totals and the engine's dispatch
+//! counters keep counting.
 //!
 //! Shutdown is graceful: each loop answers every request already
 //! buffered on its connections (including requests pipelined behind
@@ -206,20 +214,11 @@ impl QueryAnswer {
     /// The answer for a hostname no convention covers.
     pub const MISS: QueryAnswer = QueryAnswer { asn: None, suffix: None, class: None };
 
-    /// Renders the tab-separated response fields after the echoed
-    /// hostname: `<asn|->\t<suffix|->\t<class|->`.
-    pub fn render_fields(&self) -> String {
-        format!(
-            "{}\t{}\t{}",
-            self.asn.map_or_else(|| "-".to_string(), |a| a.to_string()),
-            self.suffix.as_deref().unwrap_or("-"),
-            self.class.map_or("-", |c| c.label()),
-        )
-    }
-
-    /// Appends the full answer line `<hostname>\t<fields>\n` to `out`
-    /// without intermediate `String`s — the `BATCH` hot path renders
-    /// hundreds of answers per request.
+    /// Appends the full answer line
+    /// `<hostname>\t<asn|->\t<suffix|->\t<class|->\n` to `out` without
+    /// intermediate `String`s — the `BATCH` hot path renders hundreds of
+    /// answers per request. Every answer line the server writes, single
+    /// or batched, comes from here.
     pub fn render_line_into(&self, hostname: &str, out: &mut Vec<u8>) {
         out.extend_from_slice(hostname.as_bytes());
         out.push(b'\t');
@@ -279,35 +278,48 @@ pub trait Backend: Send + Sync + 'static {
     fn query_batch(&self, hostnames: &[&str], ctx: &TraceCtx) -> Vec<QueryAnswer> {
         hostnames.iter().map(|h| self.query(h, ctx)).collect()
     }
+    /// The observability context the backend records its own series
+    /// into. A server started over the backend adopts it, so `METRICS`
+    /// shows the backend's series beside the server's; `None` (the
+    /// default) gives the server a fresh context.
+    fn obs(&self) -> Option<&Arc<Obs>> {
+        None
+    }
 }
 
 /// The default backend: one engine behind `RwLock<Arc<Generation>>`,
-/// hot-swappable as a whole.
+/// hot-swappable as a whole, plus the observability context holding
+/// the engine's dispatch-outcome counters.
 pub struct EngineBackend {
     live: RwLock<Arc<Generation>>,
-    /// Dispatch-outcome counters re-attached to every engine a
-    /// `RELOAD` builds, so the counters survive reloads.
-    engine_obs: Option<EngineObs>,
+    obs: Arc<Obs>,
+    /// Dispatch-outcome counters in `obs`, attached to every engine the
+    /// backend serves, so they keep counting across engine swaps.
+    engine_obs: EngineObs,
 }
 
 impl EngineBackend {
-    /// Wraps an engine as generation zero.
+    /// Wraps an engine as generation zero, with a fresh observability
+    /// context whose dispatch-outcome counters are attached to it.
     pub fn new(engine: Arc<Engine>) -> EngineBackend {
-        EngineBackend { live: RwLock::new(Generation::new(engine)), engine_obs: None }
+        let obs = Arc::new(Obs::new());
+        let engine_obs = EngineObs::register(obs.registry());
+        let live = RwLock::new(Generation::new(counted(engine, &engine_obs)));
+        EngineBackend { live, obs, engine_obs }
     }
 
-    /// Wraps an engine as generation zero and remembers `obs` so
-    /// engines built by [`Backend::reload`] keep counting into the
-    /// same dispatch-outcome series. The caller usually attaches the
-    /// same `obs` to `engine` itself first.
-    pub fn with_engine_obs(engine: Arc<Engine>, obs: EngineObs) -> EngineBackend {
-        EngineBackend { live: RwLock::new(Generation::new(engine)), engine_obs: Some(obs) }
-    }
-
-    /// Atomically installs a new engine: per-suffix counters restart,
-    /// in-flight requests finish on the generation they started with.
+    /// Atomically installs a new engine with the backend's dispatch
+    /// counters attached: per-suffix counters restart, in-flight
+    /// requests finish on the generation they started with. `RELOAD`
+    /// swaps engines through here.
     pub fn install(&self, engine: Arc<Engine>) {
-        *self.live.write().expect("generation lock poisoned") = Generation::new(engine);
+        let gen = Generation::new(counted(engine, &self.engine_obs));
+        *self.live.write().expect("generation lock poisoned") = gen;
+    }
+
+    /// The observability context the backend records into.
+    pub fn obs(&self) -> &Arc<Obs> {
+        &self.obs
     }
 
     /// The live generation.
@@ -341,13 +353,9 @@ impl Backend for EngineBackend {
 
     fn reload(&self, args: &str) -> Result<String, String> {
         let model = Model::load(args.trim()).map_err(|e| e.to_string())?;
-        let mut engine = Engine::new(&model);
-        if let Some(obs) = &self.engine_obs {
-            engine.attach_obs(obs.clone());
-        }
-        let engine = Arc::new(engine);
+        let engine = Engine::new(&model);
         let n = engine.len();
-        self.install(engine);
+        self.install(Arc::new(engine));
         Ok(format!("reloaded\t{n}"))
     }
 
@@ -367,15 +375,19 @@ impl Backend for EngineBackend {
         });
         answers
     }
+
+    fn obs(&self) -> Option<&Arc<Obs>> {
+        Some(&self.obs)
+    }
 }
 
-/// Counters shared by all workers for the server's lifetime.
-#[derive(Default)]
-struct Totals {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    errors: AtomicU64,
-    conns: AtomicU64,
+/// `engine` with `obs` attached. An engine the caller no longer shares
+/// is taken as is; a shared one is cloned, so the caller's copy stays
+/// uncounted.
+fn counted(engine: Arc<Engine>, obs: &EngineObs) -> Arc<Engine> {
+    let mut engine = Arc::unwrap_or_clone(engine);
+    engine.attach_obs(obs.clone());
+    Arc::new(engine)
 }
 
 /// A point-in-time view of the server's counters.
@@ -422,11 +434,10 @@ impl ServerMetrics {
     }
 }
 
-/// Shared server state: the extraction backend, lifetime totals, and
-/// the observability context.
+/// Shared server state: the extraction backend and the observability
+/// context.
 struct Shared {
     backend: Arc<dyn Backend>,
-    totals: Totals,
     shutdown: AtomicBool,
     obs: Arc<Obs>,
     metrics: ServerMetrics,
@@ -437,11 +448,13 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(backend: Arc<dyn Backend>, obs: Arc<Obs>) -> Shared {
+    /// Adopts the backend's observability context (a fresh one when it
+    /// has none) and registers the server's series in it.
+    fn new(backend: Arc<dyn Backend>) -> Shared {
+        let obs = backend.obs().cloned().unwrap_or_else(|| Arc::new(Obs::new()));
         let metrics = ServerMetrics::register(obs.registry());
         Shared {
             backend,
-            totals: Totals::default(),
             shutdown: AtomicBool::new(false),
             obs,
             metrics,
@@ -449,10 +462,7 @@ impl Shared {
         }
     }
 
-    /// Counts one protocol error in both the legacy totals and the
-    /// metrics registry.
     fn count_error(&self) {
-        self.totals.errors.fetch_add(1, Ordering::Relaxed);
         self.metrics.protocol_errors.inc();
     }
 
@@ -499,75 +509,30 @@ fn trace_ctx(shared: &Shared) -> TraceCtx<'_> {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Present when the server was started over a single engine;
-    /// [`ServerHandle::install`] needs it.
-    engine_backend: Option<Arc<EngineBackend>>,
     loops: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts `workers` readiness event loops (0 = one per core) over
-    /// a single hot-swappable engine. Metrics and events go to a fresh
-    /// private [`Obs`] reachable through [`ServerHandle::obs`].
+    /// a single hot-swappable engine: [`ServerHandle::start_with_backend`]
+    /// over [`EngineBackend::new`]`(engine)`.
     pub fn start(
         addr: impl ToSocketAddrs,
         engine: Arc<Engine>,
         workers: usize,
     ) -> std::io::Result<ServerHandle> {
-        Self::start_obs(addr, engine, workers, Arc::new(Obs::new()))
+        Self::start_with_backend(addr, Arc::new(EngineBackend::new(engine)), workers)
     }
 
-    /// [`ServerHandle::start`] with a caller-provided observability
-    /// context (to share one `METRICS` document with other components,
-    /// or to let a test account for traffic exactly). The engine gets
-    /// dispatch-outcome counters registered in `obs` attached — to a
-    /// private clone, so the caller's `engine` is not mutated.
-    pub fn start_obs(
-        addr: impl ToSocketAddrs,
-        engine: Arc<Engine>,
-        workers: usize,
-        obs: Arc<Obs>,
-    ) -> std::io::Result<ServerHandle> {
-        let engine_obs = EngineObs::register(obs.registry());
-        let mut counted = (*engine).clone();
-        counted.attach_obs(engine_obs.clone());
-        let backend =
-            Arc::new(EngineBackend::with_engine_obs(Arc::new(counted), engine_obs));
-        Self::start_inner(addr, backend.clone(), Some(backend), workers, obs)
-    }
-
-    /// Like [`ServerHandle::start`], but over a caller-provided backend
-    /// (e.g. the cluster router). [`ServerHandle::install`] is not
-    /// available on such a server — reloads go through
-    /// [`Backend::reload`].
+    /// Binds `addr` and starts `workers` readiness event loops (0 = one
+    /// per core) over `backend`. The server records into the backend's
+    /// observability context ([`Backend::obs`]; a fresh one when it has
+    /// none), reachable through [`ServerHandle::obs`].
     pub fn start_with_backend(
         addr: impl ToSocketAddrs,
         backend: Arc<dyn Backend>,
         workers: usize,
-    ) -> std::io::Result<ServerHandle> {
-        Self::start_inner(addr, backend, None, workers, Arc::new(Obs::new()))
-    }
-
-    /// [`ServerHandle::start_with_backend`] with a caller-provided
-    /// observability context. Pass the same `Arc<Obs>` the backend
-    /// registered its own metrics in (as the cluster router does) and
-    /// `METRICS` reports both layers in one document.
-    pub fn start_with_backend_obs(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn Backend>,
-        workers: usize,
-        obs: Arc<Obs>,
-    ) -> std::io::Result<ServerHandle> {
-        Self::start_inner(addr, backend, None, workers, obs)
-    }
-
-    fn start_inner(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn Backend>,
-        engine_backend: Option<Arc<EngineBackend>>,
-        workers: usize,
-        obs: Arc<Obs>,
     ) -> std::io::Result<ServerHandle> {
         let workers = if workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -577,7 +542,7 @@ impl ServerHandle {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(backend, obs));
+        let shared = Arc::new(Shared::new(backend));
 
         // Every loop gets a dup of the listener fd (accept is atomic
         // across dups — a wakeup lost to a sibling resolves as
@@ -613,7 +578,7 @@ impl ServerHandle {
             }));
         }
 
-        Ok(ServerHandle { addr, shared, engine_backend, loops: loop_handles })
+        Ok(ServerHandle { addr, shared, loops: loop_handles })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -622,34 +587,21 @@ impl ServerHandle {
     }
 
     /// The observability context the server records into (what
-    /// `METRICS` renders and `EVENTS` dumps).
+    /// `METRICS` renders and `EVENTS` dumps): its backend's, when the
+    /// backend has one.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.shared.obs
     }
 
-    /// Atomically installs a new engine. Requests already dispatched
-    /// finish on the old generation; every later request sees the new
-    /// one. Per-suffix counters restart; lifetime totals continue.
-    ///
-    /// # Panics
-    ///
-    /// If the server was started with [`ServerHandle::start_with_backend`]
-    /// — custom backends reload through [`Backend::reload`].
-    pub fn install(&self, engine: Arc<Engine>) {
-        self.engine_backend
-            .as_ref()
-            .expect("install() requires the single-engine backend")
-            .install(engine);
-    }
-
-    /// Snapshots the lifetime totals and the backend's per-suffix
-    /// counters.
+    /// Snapshots the lifetime totals (what `STATS` reports) and the
+    /// backend's per-suffix counters.
     pub fn stats(&self) -> StatsSnapshot {
+        let m = &self.shared.metrics;
         StatsSnapshot {
-            hits: self.shared.totals.hits.load(Ordering::Relaxed),
-            misses: self.shared.totals.misses.load(Ordering::Relaxed),
-            errors: self.shared.totals.errors.load(Ordering::Relaxed),
-            conns: self.shared.totals.conns.load(Ordering::Relaxed),
+            hits: m.query_hit.get(),
+            misses: m.query_miss.get(),
+            errors: m.protocol_errors.get(),
+            conns: m.connections.get(),
             per_suffix: self.shared.backend.per_suffix(),
         }
     }
@@ -1067,7 +1019,6 @@ fn accept_ready(
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                shared.totals.conns.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.connections.inc();
                 let conn = Conn::new(stream, peer.ip().is_loopback());
                 let slot = free.pop().unwrap_or_else(|| {
@@ -1161,8 +1112,6 @@ fn serve_batch(hosts: &[String], out: &mut Vec<u8>, shared: &Shared, phase: &Pha
         hits += u64::from(a.asn.is_some());
     }
     let misses = hosts.len() as u64 - hits;
-    shared.totals.hits.fetch_add(hits, Ordering::Relaxed);
-    shared.totals.misses.fetch_add(misses, Ordering::Relaxed);
     shared.metrics.query_hit.add(hits);
     shared.metrics.query_miss.add(misses);
     let dur_ns = t0.elapsed().as_nanos() as u64;
@@ -1198,13 +1147,13 @@ const ERR_NOT_ADMIN: &str = "err\tadmin commands require a loopback peer\n";
 fn respond(request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx) -> String {
     match request {
         "STATS" => {
-            let t = &shared.totals;
+            let m = &shared.metrics;
             format!(
                 "stats\thits={}\tmisses={}\terrors={}\tconns={}\tmodel={}\n",
-                t.hits.load(Ordering::Relaxed),
-                t.misses.load(Ordering::Relaxed),
-                t.errors.load(Ordering::Relaxed),
-                t.conns.load(Ordering::Relaxed),
+                m.query_hit.get(),
+                m.query_miss.get(),
+                m.protocol_errors.get(),
+                m.connections.get(),
                 shared.backend.model_len(),
             )
         }
@@ -1325,16 +1274,12 @@ fn respond(request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx) -> Strin
         hostname => {
             let answer = shared.backend.query(hostname, ctx);
             match answer.asn {
-                Some(_) => {
-                    shared.totals.hits.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.query_hit.inc();
-                }
-                None => {
-                    shared.totals.misses.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.query_miss.inc();
-                }
+                Some(_) => shared.metrics.query_hit.inc(),
+                None => shared.metrics.query_miss.inc(),
             };
-            format!("{hostname}\t{}\n", answer.render_fields())
+            let mut line = Vec::with_capacity(hostname.len() + 48);
+            answer.render_line_into(hostname, &mut line);
+            String::from_utf8(line).expect("answer lines are UTF-8")
         }
     }
 }
@@ -1623,14 +1568,21 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A server over an [`EngineBackend`] the test keeps a handle to.
+    fn start_backend(model: &Model) -> (Arc<EngineBackend>, ServerHandle) {
+        let backend = Arc::new(EngineBackend::new(Arc::new(Engine::new(model))));
+        let srv = ServerHandle::start_with_backend("127.0.0.1:0", backend.clone(), 2).unwrap();
+        (backend, srv)
+    }
+
     #[test]
     fn hot_reload_swaps_without_dropping_connections() {
-        let srv = start(&model("example.com", r"^as(\d+)\.example\.com$"), 2);
+        let (backend, srv) = start_backend(&model("example.com", r"^as(\d+)\.example\.com$"));
         let mut c = Client::connect(srv.local_addr()).unwrap();
         assert_eq!(c.query("as1.example.com").unwrap(), Some(1));
         assert_eq!(c.query("r2.other.net").unwrap(), None);
         // Install a different model; the same connection sees it.
-        srv.install(Arc::new(Engine::new(&model("other.net", r"^r(\d+)\.other\.net$"))));
+        backend.install(Arc::new(Engine::new(&model("other.net", r"^r(\d+)\.other\.net$"))));
         assert_eq!(c.query("as1.example.com").unwrap(), None);
         assert_eq!(c.query("r2.other.net").unwrap(), Some(2));
         // Per-suffix counters restarted with the new generation.
@@ -1657,6 +1609,40 @@ mod tests {
         assert_eq!(resp, "ok\treloaded\t1");
         assert_eq!(c.query("r7.other.net").unwrap(), Some(7));
         assert_eq!(srv.stats().errors, 1);
+        srv.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The engine's dispatch counters live in the backend, not in the
+    /// engine it happens to serve: an engine swap by
+    /// [`EngineBackend::install`] or by `RELOAD` keeps them counting.
+    #[test]
+    fn dispatch_counters_keep_counting_across_install_and_reload() {
+        let dir = std::env::temp_dir().join(format!("hoiho-serve-counters-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reload.model");
+        model("example.com", r"^r(\d+)\.example\.com$").save(&path).unwrap();
+
+        let m = model("example.com", r"^as(\d+)\.example\.com$");
+        let (backend, srv) = start_backend(&m);
+        assert!(Arc::ptr_eq(srv.obs(), backend.obs()), "the server adopts the backend's Obs");
+        let exact = || {
+            srv.obs()
+                .registry()
+                .counter("hoiho_engine_extractions_total", &[("dispatch", "exact")])
+                .get()
+        };
+        let mut c = Client::connect(srv.local_addr()).unwrap();
+        assert_eq!(c.query("as1.example.com").unwrap(), Some(1));
+        assert_eq!(exact(), 1);
+        backend.install(Arc::new(Engine::new(&m)));
+        assert_eq!(c.query("as2.example.com").unwrap(), Some(2));
+        assert_eq!(c.query("as3.example.com").unwrap(), Some(3));
+        assert_eq!(exact(), 3, "counting stopped after EngineBackend::install");
+        let resp = c.request(&format!("RELOAD {}", path.display())).unwrap();
+        assert_eq!(resp, "ok\treloaded\t1");
+        assert_eq!(c.query("r4.example.com").unwrap(), Some(4));
+        assert_eq!(exact(), 4, "counting stopped after RELOAD");
         srv.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1739,17 +1725,14 @@ mod tests {
     #[test]
     fn admin_verbs_refused_for_non_loopback_peers() {
         let m = model("example.com", r"^as(\d+)\.example\.com$");
-        let shared = Shared::new(
-            Arc::new(EngineBackend::new(Arc::new(Engine::new(&m)))),
-            Arc::new(Obs::new()),
-        );
+        let shared = Shared::new(Arc::new(EngineBackend::new(Arc::new(Engine::new(&m)))));
         let off = TraceCtx::off();
         assert_eq!(respond("SHUTDOWN", false, &shared, &off), ERR_NOT_ADMIN);
         assert!(!shared.shutdown.load(Ordering::SeqCst), "non-admin SHUTDOWN must not stop the server");
         assert_eq!(respond("RELOAD /etc/passwd", false, &shared, &off), ERR_NOT_ADMIN);
         assert_eq!(respond("EVENTS 5", false, &shared, &off), ERR_NOT_ADMIN);
         assert_eq!(respond("TRACES 5", false, &shared, &off), ERR_NOT_ADMIN);
-        assert_eq!(shared.totals.errors.load(Ordering::Relaxed), 4);
+        assert_eq!(shared.metrics.protocol_errors.get(), 4);
         // Each refusal was recorded as an event.
         let refusals = shared.obs.events().tail(10);
         assert_eq!(refusals.len(), 4);
@@ -1994,6 +1977,16 @@ mod tests {
                 break; // already cut off — that's the point
             }
         }
+        // Stay a non-reader until the server has counted the violation:
+        // a kernel receive buffer large enough to take every request
+        // can end the write loop above while the server's pending
+        // output is still under the cap, and draining from then on
+        // would keep it there. (Poll: the close races us.)
+        let t0 = Instant::now();
+        while srv.stats().errors == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "cap violation never counted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
         let mut drained = 0usize;
         let mut buf = [0u8; 64 * 1024];
         loop {
@@ -2006,12 +1999,6 @@ mod tests {
             drained < 2 * MAX_PENDING_OUT,
             "server buffered {drained} response bytes for a non-reading client"
         );
-        // The violation is counted (poll: the close races us).
-        let t0 = Instant::now();
-        while srv.stats().errors == 0 {
-            assert!(t0.elapsed() < Duration::from_secs(5), "cap violation never counted");
-            std::thread::sleep(Duration::from_millis(10));
-        }
         srv.shutdown();
     }
 

@@ -3,8 +3,11 @@
 #   1. The hermetic-dependency check (manifests are path-only).
 #   2. A clean offline release build of the whole workspace, including
 #      every example and binary.
-#   3. The full test suite, offline, then the multi-matcher equivalence
-#      gate by name: fixed-seed `learn_all` output must be byte-identical
+#   3. The full test suite of every workspace crate, offline (the root
+#      package's integration tests plus each crate's own unit and
+#      integration tests; `hoiho-bench` is excluded, see below), then
+#      the multi-matcher equivalence gate by name: fixed-seed
+#      `learn_all` output must be byte-identical
 #      with Aho–Corasick literal dispatch on (default) and off (the
 #      per-regex column build kept as the oracle).
 #   4. A live smoke test of the serving subsystem: learn a model from a
@@ -55,7 +58,11 @@ cd "$(dirname "$0")/.."
 
 ./scripts/no-external-deps.sh
 cargo build --release --offline --workspace --examples --bins
-cargo test -q --offline
+# hoiho-bench's lib holds two tests that fail at the time of writing
+# (futurework::tests::sweep_expands_coverage and
+# pipeline::tests::peeringdb_ppv_highest); it stays out until they are
+# mended.
+cargo test -q --offline --workspace --exclude hoiho-bench
 
 # --- multi-matcher equivalence gate: dispatch on vs off, by name, so a
 # filter typo in the suite can never silently drop it ---
@@ -89,20 +96,29 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# start_server LOG ARGS...: runs `hoiho-serve serve ARGS...` in the
+# background with its stderr in $SMOKE_DIR/LOG, and waits for the bound
+# (ephemeral) address the server prints on startup. Sets SRV_PID and
+# ADDR; exits the gate if the server dies or never reports one.
+start_server() {
+    local log="$SMOKE_DIR/$1"
+    shift
+    "$SRV" serve "$@" 2> "$log" &
+    SRV_PID=$!
+    ADDR=
+    for _ in $(seq 1 100); do
+        ADDR=$(sed -n 's/.* on \([0-9.]*:[0-9]*\).*/\1/p' "$log")
+        [ -n "$ADDR" ] && return 0
+        kill -0 "$SRV_PID" 2>/dev/null || { cat "$log" >&2; exit 1; }
+        sleep 0.1
+    done
+    echo "tier1: server logging to $log never reported its address" >&2
+    exit 1
+}
+
 "$SRV" save --sim 2020 "$SMOKE_DIR/model.hoiho" 2>/dev/null
 "$SRV" inspect "$SMOKE_DIR/model.hoiho" > /dev/null
-"$SRV" serve "$SMOKE_DIR/model.hoiho" 127.0.0.1:0 2 2> "$SMOKE_DIR/serve.log" &
-SRV_PID=$!
-
-# The server prints its bound (ephemeral) address on startup.
-ADDR=
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/.* on \([0-9.]*:[0-9]*\).*/\1/p' "$SMOKE_DIR/serve.log")
-    [ -n "$ADDR" ] && break
-    kill -0 "$SRV_PID" 2>/dev/null || { cat "$SMOKE_DIR/serve.log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "tier1: server never reported its address" >&2; exit 1; }
+start_server serve.log "$SMOKE_DIR/model.hoiho" 127.0.0.1:0 2
 
 "$SRV" send "$ADDR" smoke-test.invalid | grep -q "smoke-test.invalid"
 "$SRV" send "$ADDR" STATS | grep -q "^stats"
@@ -116,18 +132,8 @@ SRV_PID=
 [ -f "$SMOKE_DIR/shards/shard.1.model" ]
 [ -f "$SMOKE_DIR/shards/shardmap.hoiho" ]
 
-"$SRV" serve "$SMOKE_DIR/model.hoiho" 127.0.0.1:0 2 --shards 2 --cache-capacity 64 \
-    --trace-sample 1 --trace-seed 7 --slo slo/default.slo \
-    2> "$SMOKE_DIR/cluster.log" &
-SRV_PID=$!
-ADDR=
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/.* on \([0-9.]*:[0-9]*\).*/\1/p' "$SMOKE_DIR/cluster.log")
-    [ -n "$ADDR" ] && break
-    kill -0 "$SRV_PID" 2>/dev/null || { cat "$SMOKE_DIR/cluster.log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "tier1: cluster server never reported its address" >&2; exit 1; }
+start_server cluster.log "$SMOKE_DIR/model.hoiho" 127.0.0.1:0 2 --shards 2 --cache-capacity 64 \
+    --trace-sample 1 --trace-seed 7 --slo slo/default.slo
 
 # One suffix from each shard (the manifest records the assignment), so
 # the queries below exercise both shards' engines.
@@ -303,16 +309,7 @@ fi
 # serve → scenario-shaped loadgen → quality matrix ---
 "$SRV" scenario save scenarios/paper-default.hoiho "$SMOKE_DIR/scenario.model" 2> /dev/null
 "$SRV" inspect "$SMOKE_DIR/scenario.model" > /dev/null
-"$SRV" serve "$SMOKE_DIR/scenario.model" 127.0.0.1:0 2 2> "$SMOKE_DIR/scenario.log" &
-SRV_PID=$!
-ADDR=
-for _ in $(seq 1 100); do
-    ADDR=$(sed -n 's/.* on \([0-9.]*:[0-9]*\).*/\1/p' "$SMOKE_DIR/scenario.log")
-    [ -n "$ADDR" ] && break
-    kill -0 "$SRV_PID" 2>/dev/null || { cat "$SMOKE_DIR/scenario.log" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "tier1: scenario server never reported its address" >&2; exit 1; }
+start_server scenario.log "$SMOKE_DIR/scenario.model" 127.0.0.1:0 2
 # Drive the scenario's own traffic profile (zipf skew, seeded stream)
 # against the live server; every request must parse as a protocol
 # answer — errors mean the scenario universe and model disagree.

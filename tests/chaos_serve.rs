@@ -55,18 +55,13 @@ fn hosts() -> Vec<String> {
     h
 }
 
-/// Splits a query response into `(echoed request, answer fields)`.
-/// The answer is always the last three tab fields (asn, suffix,
-/// class); the echo is everything before — chaos can splice tabs into
-/// a request, so the echo itself may contain them. `None` for lines
-/// that are not query answers (`err\t...`).
-fn split_response(resp: &str) -> Option<(&str, String)> {
-    let mut it = resp.rsplitn(4, '\t');
-    let class = it.next()?;
-    let suffix = it.next()?;
-    let asn = it.next()?;
-    let echoed = it.next()?;
-    Some((echoed, format!("{asn}\t{suffix}\t{class}")))
+/// The request a query response echoes. The answer is always the last
+/// three tab fields (asn, suffix, class); the echo is everything before
+/// — chaos can splice tabs into a request, so the echo itself may
+/// contain them. `None` for lines that are not query answers
+/// (`err\t...`).
+fn echoed_request(resp: &str) -> Option<&str> {
+    resp.rsplitn(4, '\t').nth(3)
 }
 
 /// One chaos-client run: `requests` queries through a seeded faulty
@@ -110,11 +105,15 @@ fn run_chaos_conn(
         };
         let h = &stream[i % stream.len()];
         let survived = match cl.request(h) {
-            Ok(resp) => match split_response(&resp) {
-                Some((echoed, fields)) => {
+            Ok(resp) => match echoed_request(&resp) {
+                Some(echoed) => {
+                    let mut expected = Vec::new();
+                    reference
+                        .query(echoed, &hoiho_repro::obs::TraceCtx::off())
+                        .render_line_into(echoed, &mut expected);
                     assert_eq!(
-                        fields,
-                        reference.query(echoed, &hoiho_repro::obs::TraceCtx::off()).render_fields(),
+                        format!("{resp}\n").as_bytes(),
+                        expected,
                         "sharded answer for received request {echoed:?} diverged \
                          from the single engine"
                     );

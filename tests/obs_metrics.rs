@@ -11,7 +11,6 @@ use hoiho_repro::cluster::{split, ClusterBackend, ShardRouter};
 use hoiho_repro::hoiho::classify::NcClass;
 use hoiho_repro::hoiho::regex::Regex;
 use hoiho_repro::hoiho::taxonomy::Taxonomy;
-use hoiho_repro::obs::Obs;
 use hoiho_repro::serve::model::{EvalCounts, Model, ModelEntry};
 use hoiho_repro::serve::server::Client;
 use hoiho_repro::serve::ServerHandle;
@@ -200,14 +199,10 @@ fn scratch(name: &str) -> PathBuf {
 fn metrics_exposition_accounts_scripted_traffic_exactly() {
     const K: i128 = 5; // scripted cache hits
 
-    let obs = Arc::new(Obs::new());
     let (parts, _map) = split(&model(), 2).expect("split");
-    let router = Arc::new(
-        ShardRouter::new_obs(&parts, 128, Arc::clone(&obs)).expect("build router"),
-    );
+    let router = Arc::new(ShardRouter::new(&parts, 128).expect("build router"));
     let backend = Arc::new(ClusterBackend::new(Arc::clone(&router)));
-    let srv = ServerHandle::start_with_backend_obs("127.0.0.1:0", backend, 2, obs)
-        .expect("bind");
+    let srv = ServerHandle::start_with_backend("127.0.0.1:0", backend, 2).expect("bind");
     let mut client = Client::connect(srv.local_addr()).expect("connect");
 
     // --- the script: N = K+2 queries, K cache hits, one shard reload.
@@ -354,14 +349,10 @@ fn metrics_exposition_accounts_scripted_traffic_exactly() {
 /// that goes backwards.
 #[test]
 fn metrics_stays_parseable_and_monotone_under_concurrent_reloads() {
-    let obs = Arc::new(Obs::new());
     let (parts, _map) = split(&model(), 2).expect("split");
-    let router = Arc::new(
-        ShardRouter::new_obs(&parts, 128, Arc::clone(&obs)).expect("build router"),
-    );
+    let router = Arc::new(ShardRouter::new(&parts, 128).expect("build router"));
     let backend = Arc::new(ClusterBackend::new(Arc::clone(&router)));
-    let srv = ServerHandle::start_with_backend_obs("127.0.0.1:0", backend, 2, obs)
-        .expect("bind");
+    let srv = ServerHandle::start_with_backend("127.0.0.1:0", backend, 2).expect("bind");
 
     let shard_paths: Vec<PathBuf> = parts
         .iter()

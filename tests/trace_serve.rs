@@ -22,7 +22,6 @@ use hoiho_repro::hoiho::classify::NcClass;
 use hoiho_repro::hoiho::regex::Regex;
 use hoiho_repro::hoiho::taxonomy::Taxonomy;
 use hoiho_repro::obs::span::{self, detail, trace_id_for, Layer, ReqSpan, NO_PARENT, NO_SHARD};
-use hoiho_repro::obs::Obs;
 use hoiho_repro::serve::model::{EvalCounts, Model, ModelEntry};
 use hoiho_repro::serve::server::Client;
 use hoiho_repro::serve::ServerHandle;
@@ -68,14 +67,10 @@ fn model() -> Model {
 /// Starts a fresh sharded server with every-request sampling under
 /// `SEED`, runs `SCRIPT`, and returns the parsed `TRACES` dump.
 fn run_script() -> Vec<ReqSpan> {
-    let obs = Arc::new(Obs::new());
-    obs.sampler().configure(1, SEED);
-    let router = Arc::new(
-        ShardRouter::from_model_obs(&model(), SHARDS, 64, Arc::clone(&obs)).expect("router"),
-    );
-    let backend = Arc::new(ClusterBackend::new(router));
-    let srv =
-        ServerHandle::start_with_backend_obs("127.0.0.1:0", backend, 1, obs).expect("bind");
+    let router = ShardRouter::from_model(&model(), SHARDS, 64).expect("router");
+    router.obs().sampler().configure(1, SEED);
+    let backend = Arc::new(ClusterBackend::new(Arc::new(router)));
+    let srv = ServerHandle::start_with_backend("127.0.0.1:0", backend, 1).expect("bind");
     let mut client = Client::connect(srv.local_addr()).expect("connect");
     for host in SCRIPT {
         let resp = client.request(host).expect("query");
