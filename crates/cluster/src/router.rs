@@ -45,7 +45,7 @@ use crate::cache::{CacheStats, ShardedLru};
 use crate::plan::split;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
-use hoiho_psl::{Dispatch, PublicSuffixList};
+use hoiho_psl::{lowercase, Dispatch, PublicSuffixList};
 use hoiho_serve::model::Model;
 use hoiho_serve::server::{Backend, Generation, QueryAnswer};
 use hoiho_serve::Engine;
@@ -292,7 +292,7 @@ impl ShardRouter {
     /// miss — an engine span from the shard dispatch (DESIGN §7i). An
     /// off context costs one branch per span site.
     pub fn lookup_traced(&self, hostname: &str, ctx: &TraceCtx) -> QueryAnswer {
-        let lower = hostname.to_ascii_lowercase();
+        let lower = lowercase(hostname);
         let mut rsp = ctx.span(Layer::Router);
         let mut saw_stale = false;
         let cached = {
@@ -335,7 +335,7 @@ impl ShardRouter {
 
     /// Answers one hostname, bypassing the cache (no insert either).
     pub fn lookup_uncached(&self, hostname: &str) -> QueryAnswer {
-        self.compute(&hostname.to_ascii_lowercase(), &TraceCtx::off()).1
+        self.compute(&lowercase(hostname), &TraceCtx::off()).1
     }
 
     /// The routed compute path. Sampling order matters (module docs):
@@ -442,7 +442,7 @@ impl ShardRouter {
         for slot in &self.slots {
             let gen = Arc::clone(&slot.gen.read().unwrap());
             for (nc, n) in gen.engine.conventions().iter().zip(&gen.per_suffix) {
-                out.push((nc.suffix.clone(), n.load(Ordering::Relaxed)));
+                out.push((nc.suffix.to_string(), n.load(Ordering::Relaxed)));
             }
         }
         out

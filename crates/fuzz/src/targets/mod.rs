@@ -7,6 +7,7 @@
 //! | multimatch | `MultiMatcher` pool dispatch | automaton dispatch vs per-regex compiled scans (superset-exact, mask/scratch agreement) |
 //! | artifact | `Model::parse`                | render fixpoint + sharded(N) vs single engine answers |
 //! | shardmap | `ShardMap::parse`             | render fixpoint + value equality                  |
+//! | psl      | `PublicSuffixList` lookups + `dispatch` | rule-table answers vs the linear-scan reference algorithm |
 //! | scenario | `Scenario::parse`             | canonical render fixpoint                         |
 //! | framing  | server line/`BATCH` framing   | live server vs a framing reference simulation over RNG-fragmented streams |
 //!
@@ -18,6 +19,7 @@
 mod artifact;
 mod framing;
 mod multimatch;
+mod psl;
 mod regex;
 mod scenario;
 mod shardmap;
@@ -46,6 +48,7 @@ pub fn all_targets() -> Vec<Box<dyn Target>> {
         Box::new(multimatch::MultiMatchTarget),
         Box::new(artifact::ArtifactTarget),
         Box::new(shardmap::ShardMapTarget),
+        Box::new(psl::PslTarget),
         Box::new(scenario::ScenarioTarget),
         Box::new(framing::FramingTarget::new()),
     ]

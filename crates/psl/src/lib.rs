@@ -28,20 +28,35 @@
 
 mod builtin;
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+/// Rule-kind bits of a [`PublicSuffixList`] table entry. One key may
+/// carry several: `ck` and `*.ck` are both stored under `ck`.
+const NORMAL: u8 = 1;
+const WILDCARD: u8 = 2;
+const EXCEPTION: u8 = 4;
+
 /// A parsed public suffix list.
 ///
-/// Rule storage is a flat vector of reversed-label rules; lookups scan per
-/// candidate rule. Hostname suffix determination happens once per hostname
-/// at training-set construction, so simplicity beats a radix tree here.
+/// Every suffix decision runs through here: the learner groups its
+/// training hostnames by registrable domain, and the serving engine and
+/// the cluster router dispatch every uncached query with it. So a lookup
+/// costs O(labels) whatever the rule count. [`Self::dispatch`] on a
+/// lowercase name allocates nothing, and [`Self::registrable_domain`]
+/// only the string it returns (plus a lowercase copy of a name that
+/// holds uppercase). The rules live in one hash table keyed by their
+/// dotted lowercase text — `org.nz` under `org.nz`, the wildcard `*.ck`
+/// under `ck`, the exception `!www.ck` under `www.ck` — and a lookup
+/// probes the name's label suffixes right to left as borrowed slices,
+/// never deeper than the deepest key. The table keeps the std hasher,
+/// randomly keyed, because the probes are hostnames from outside.
 #[derive(Debug, Clone, Default)]
 pub struct PublicSuffixList {
-    /// Normal rules, stored as lowercase label sequences, most-significant
-    /// (TLD) label first. `["nz", "org"]` represents the rule `org.nz`.
-    rules: Vec<Vec<String>>,
-    /// Wildcard rules: `*.ck` stored as `["ck"]` (labels under the star).
-    wildcards: Vec<Vec<String>>,
-    /// Exception rules: `!www.ck` stored as `["ck", "www"]`.
-    exceptions: Vec<Vec<String>>,
+    /// Rule text → the kinds of rule stored under it.
+    rules: HashMap<Box<str>, u8>,
+    /// Label count of the deepest key in `rules`.
+    depth: usize,
 }
 
 /// Outcome of a suffix lookup on one hostname.
@@ -53,6 +68,14 @@ pub struct SuffixMatch {
     pub public_suffix: String,
     /// The registrable domain (suffix + 1 label), if the hostname has one.
     pub registrable: Option<String>,
+}
+
+/// Where the public suffix and the registrable domain of a name start,
+/// as byte offsets into it.
+struct Split {
+    suffix_labels: usize,
+    suffix: usize,
+    registrable: Option<usize>,
 }
 
 impl PublicSuffixList {
@@ -94,84 +117,50 @@ impl PublicSuffixList {
             }
             self.add_rule(rule);
         }
-        self.rules.sort();
-        self.rules.dedup();
-        self.wildcards.sort();
-        self.wildcards.dedup();
-        self.exceptions.sort();
-        self.exceptions.dedup();
     }
 
-    /// Adds one rule in list syntax (`org.nz`, `*.ck`, `!www.ck`).
+    /// Adds one rule in list syntax (`org.nz`, `*.ck`, `!www.ck`). Case
+    /// and trailing dots are dropped; adding a rule twice is a no-op.
     pub fn add_rule(&mut self, rule: &str) {
-        if let Some(exc) = rule.strip_prefix('!') {
-            self.exceptions.push(reverse_labels(exc));
+        let (kind, text) = if let Some(exc) = rule.strip_prefix('!') {
+            (EXCEPTION, exc)
         } else if let Some(rest) = rule.strip_prefix("*.") {
-            self.wildcards.push(reverse_labels(rest));
+            (WILDCARD, rest)
         } else if rule == "*" {
             // The implicit rule; nothing to store.
+            return;
         } else {
-            self.rules.push(reverse_labels(rule));
-        }
+            (NORMAL, rule)
+        };
+        let key = text.trim_end_matches('.').to_ascii_lowercase();
+        self.depth = self.depth.max(key.split('.').count());
+        *self.rules.entry(key.into_boxed_str()).or_default() |= kind;
     }
 
-    /// Number of explicit rules loaded (normal + wildcard + exception).
+    /// Number of distinct explicit rules loaded (normal + wildcard +
+    /// exception).
     pub fn len(&self) -> usize {
-        self.rules.len() + self.wildcards.len() + self.exceptions.len()
+        self.rules.values().map(|kinds| kinds.count_ones() as usize).sum()
     }
 
     /// True if no explicit rules are loaded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rules.is_empty()
     }
 
     /// Computes the public suffix and registrable domain of `hostname`.
     ///
     /// Returns `None` for hostnames with no labels (empty string, `"."`)
-    /// or with empty labels (`a..b`). The hostname is lowercased and a
-    /// single trailing dot is ignored.
+    /// or with empty labels (`a..b`). The hostname is lowercased and every
+    /// trailing dot is dropped, so `a.example.com..` resolves like
+    /// `a.example.com`.
     pub fn lookup(&self, hostname: &str) -> Option<SuffixMatch> {
-        let name = hostname.trim_end_matches('.').to_ascii_lowercase();
-        if name.is_empty() {
-            return None;
-        }
-        let labels: Vec<&str> = name.split('.').collect();
-        if labels.iter().any(|l| l.is_empty()) {
-            return None;
-        }
-        let rev: Vec<&str> = labels.iter().rev().copied().collect();
-
-        // The prevailing rule is the matching rule with the most labels;
-        // exception rules beat all others. Per the algorithm, an exception
-        // rule's effective suffix drops the exception's leftmost label.
-        let mut suffix_labels = 1; // implicit `*` rule
-        if let Some(n) = longest_match(&self.exceptions, &rev) {
-            // Exception matched in full: suffix is the rule minus one label.
-            suffix_labels = n - 1;
-        } else {
-            if let Some(n) = longest_match(&self.rules, &rev) {
-                suffix_labels = suffix_labels.max(n);
-            }
-            // A wildcard rule `*.ck` (stored as ["ck"]) matches any name
-            // with >= 2 labels whose tail matches; the suffix is one label
-            // longer than the stored part.
-            if let Some(n) = longest_wildcard_match(&self.wildcards, &rev) {
-                suffix_labels = suffix_labels.max(n + 1);
-            }
-        }
-
-        // Exception rules can reduce the count to zero in a pathological
-        // list (`!com`); clamp so every name keeps at least one suffix
-        // label and never more labels than it has.
-        suffix_labels = suffix_labels.clamp(1, labels.len());
-
-        let public_suffix = labels[labels.len() - suffix_labels..].join(".");
-        let registrable = if labels.len() > suffix_labels {
-            Some(labels[labels.len() - suffix_labels - 1..].join("."))
-        } else {
-            None
-        };
-        Some(SuffixMatch { suffix_labels, public_suffix, registrable })
+        let (name, s) = self.normalise_split(hostname)?;
+        Some(SuffixMatch {
+            suffix_labels: s.suffix_labels,
+            public_suffix: name[s.suffix..].to_string(),
+            registrable: s.registrable.map(|i| name[i..].to_string()),
+        })
     }
 
     /// The public suffix (effective TLD) of `hostname`, if it has labels.
@@ -183,7 +172,8 @@ impl PublicSuffixList {
     /// "suffix" Hoiho groups hostnames by. `None` when the hostname is
     /// itself a public suffix (e.g. `com`) or unparsable.
     pub fn registrable_domain(&self, hostname: &str) -> Option<String> {
-        self.lookup(hostname).and_then(|m| m.registrable)
+        let (name, s) = self.normalise_split(hostname)?;
+        s.registrable.map(|i| name[i..].to_string())
     }
 
     /// Resolves a hostname against a suffix-keyed index: the PSL
@@ -195,7 +185,8 @@ impl PublicSuffixList {
     /// `probe` looks one key up in the index; the first hit wins and is
     /// reported as [`Dispatch::Exact`] when it was the registrable
     /// domain, [`Dispatch::Fallback`] otherwise. `lower` must already
-    /// be lowercased, so every probed key is lowercase too. The serving
+    /// be lowercased (see [`lowercase`]), so every probed key is
+    /// lowercase too; each is a borrowed slice of `lower`. The serving
     /// engine and the cluster router both dispatch through this, which
     /// is what keeps their suffix choice identical for any hostname.
     pub fn dispatch<T>(
@@ -203,10 +194,68 @@ impl PublicSuffixList {
         lower: &str,
         mut probe: impl FnMut(&str) -> Option<T>,
     ) -> Dispatch<T> {
-        if let Some(hit) = self.registrable_domain(lower).and_then(|rd| probe(&rd)) {
+        let name = lower.trim_end_matches('.');
+        let registrable = self.split(name).and_then(|s| s.registrable);
+        if let Some(hit) = registrable.and_then(|i| probe(&name[i..])) {
             return Dispatch::Exact(hit);
         }
         label_suffixes(lower).find_map(probe).map_or(Dispatch::Miss, Dispatch::Fallback)
+    }
+
+    /// `hostname` with its trailing dots dropped and lowercased, and its
+    /// split: the one core behind `lookup` and `registrable_domain`.
+    fn normalise_split<'h>(&self, hostname: &'h str) -> Option<(Cow<'h, str>, Split)> {
+        let name = lowercase(hostname.trim_end_matches('.'));
+        let split = self.split(&name)?;
+        Some((name, split))
+    }
+
+    /// Splits `name` — lowercase, no trailing dot — into public suffix
+    /// and registrable domain, or `None` when it is empty or has an
+    /// empty label.
+    ///
+    /// The prevailing rule is the matching rule with the most labels,
+    /// except that a matching exception rule beats all others and its
+    /// suffix drops the exception's leftmost label. A wildcard rule
+    /// `*.ck` matches only when the name has a label left over for its
+    /// star, and then claims one label more than its key.
+    fn split(&self, name: &str) -> Option<Split> {
+        if name.is_empty() || name.starts_with('.') || name.contains("..") {
+            return None;
+        }
+        let mut longest = 1; // the implicit `*` rule
+        let mut exception = None;
+        for (labels, start) in (1..=self.depth).zip(suffix_starts(name)) {
+            let Some(&kinds) = self.rules.get(&name[start..]) else { continue };
+            if kinds & EXCEPTION != 0 {
+                exception = Some(labels);
+            }
+            if kinds & NORMAL != 0 {
+                longest = longest.max(labels);
+            }
+            if kinds & WILDCARD != 0 && start > 0 {
+                longest = longest.max(labels + 1);
+            }
+        }
+        // A pathological exception (`!com`) would leave zero labels; every
+        // name keeps at least one. No rule can claim more labels than the
+        // name has: probes stop at its whole length, and a wildcard counts
+        // only with a label to spare.
+        let suffix_labels = exception.map_or(longest, |labels| labels - 1).max(1);
+        let mut starts = suffix_starts(name).skip(suffix_labels - 1);
+        let suffix = starts.next()?;
+        Some(Split { suffix_labels, suffix, registrable: starts.next() })
+    }
+}
+
+/// `name` in ASCII lowercase, borrowed unless it holds an uppercase
+/// byte — real query traffic is lowercase already and costs no copy.
+/// This is the form [`PublicSuffixList::dispatch`] expects.
+pub fn lowercase(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
@@ -221,13 +270,20 @@ pub enum Dispatch<T> {
     Miss,
 }
 
+/// Byte offsets at which the label suffixes of `name` start, shortest
+/// (the last label) first: `a.b.c` → 4, 2, 0.
+fn suffix_starts(name: &str) -> impl Iterator<Item = usize> + '_ {
+    let dots = name.bytes().enumerate().rev().filter(|&(_, b)| b == b'.');
+    dots.map(|(i, _)| i + 1).chain(std::iter::once(0))
+}
+
 /// Iterates the suffixes of `hostname` at label boundaries, longest
 /// (the whole name) first: `a.b.c` → `a.b.c`, `b.c`, `c`.
 ///
 /// [`PublicSuffixList::dispatch`] probes these when the PSL-derived
 /// registrable domain misses — a model may key a suffix deeper than
 /// (or, with a different PSL snapshot, different from) the registrable
-/// domain the local list computes. A trailing dot is ignored; the empty
+/// domain the local list computes. Trailing dots are ignored; the empty
 /// hostname yields nothing.
 fn label_suffixes(hostname: &str) -> impl Iterator<Item = &str> {
     let name = hostname.trim_end_matches('.');
@@ -238,43 +294,6 @@ fn label_suffixes(hostname: &str) -> impl Iterator<Item = &str> {
             .map(move |(i, _)| &name[i + 1..])
             .filter(|s| !s.is_empty()),
     )
-}
-
-/// Splits a rule into lowercase labels, most-significant first.
-fn reverse_labels(rule: &str) -> Vec<String> {
-    rule.trim_end_matches('.')
-        .split('.')
-        .rev()
-        .map(|l| l.to_ascii_lowercase())
-        .collect()
-}
-
-/// Length in labels of the longest rule fully matching the reversed name,
-/// or `None`.
-fn longest_match(rules: &[Vec<String>], rev_name: &[&str]) -> Option<usize> {
-    let mut best = None;
-    for rule in rules {
-        if rule.len() <= rev_name.len()
-            && rule.iter().zip(rev_name).all(|(a, b)| a == b)
-        {
-            best = best.max(Some(rule.len()));
-        }
-    }
-    best
-}
-
-/// Length in labels of the longest wildcard *tail* matching the reversed
-/// name with at least one extra label available for the star.
-fn longest_wildcard_match(rules: &[Vec<String>], rev_name: &[&str]) -> Option<usize> {
-    let mut best = None;
-    for rule in rules {
-        if rule.len() < rev_name.len()
-            && rule.iter().zip(rev_name).all(|(a, b)| a == b)
-        {
-            best = best.max(Some(rule.len()));
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -466,6 +485,13 @@ mod tests {
         let mut p = PublicSuffixList::parse("org.nz\n");
         p.extend_from_str("org.nz\nco.nz\n");
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn lowercase_borrows_unless_uppercase() {
+        assert!(matches!(lowercase("p714.sgw.equinix.com"), Cow::Borrowed(_)));
+        assert!(matches!(lowercase(""), Cow::Borrowed("")));
+        assert_eq!(lowercase("P714.SGW.Equinix.com"), "p714.sgw.equinix.com");
     }
 
     #[test]

@@ -20,8 +20,9 @@ use crate::model::Model;
 use hoiho::classify::NcClass;
 use hoiho::regex::{CompiledRegex, MultiMatcher, Regex};
 use hoiho_obs::{Counter, Registry};
-use hoiho_psl::{Dispatch, PublicSuffixList};
+use hoiho_psl::{lowercase, Dispatch, PublicSuffixList};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Minimum number of hostnames a batch worker must own before
 /// [`Engine::extract_all`] spawns it. Extraction costs on the order of
@@ -36,8 +37,9 @@ pub const MIN_BATCH_CHUNK: usize = 1024;
 /// once at engine construction (model load).
 #[derive(Debug, Clone)]
 pub struct CompiledNc {
-    /// The suffix the convention is keyed under.
-    pub suffix: String,
+    /// The suffix the convention is keyed under, shared with every
+    /// answer that names it.
+    pub suffix: Arc<str>,
     /// §4 quality class.
     pub class: NcClass,
     /// True when the convention labels a single ASN (Figure 2).
@@ -55,10 +57,10 @@ pub struct CompiledNc {
 }
 
 impl CompiledNc {
-    fn new(suffix: String, class: NcClass, single: bool, regexes: Vec<Regex>) -> CompiledNc {
+    fn new(suffix: &str, class: NcClass, single: bool, regexes: Vec<Regex>) -> CompiledNc {
         let programs: Vec<CompiledRegex> = regexes.iter().map(CompiledRegex::compile).collect();
         let matcher = Some(MultiMatcher::build(programs.iter())).filter(MultiMatcher::supports_mask);
-        CompiledNc { suffix, class, single, regexes, programs, matcher }
+        CompiledNc { suffix: suffix.into(), class, single, regexes, programs, matcher }
     }
 
     /// Runs the convention on an already-lowercased hostname —
@@ -142,7 +144,7 @@ impl EngineObs {
 pub struct Engine {
     psl: PublicSuffixList,
     ncs: Vec<CompiledNc>,
-    by_suffix: HashMap<String, usize>,
+    by_suffix: HashMap<Arc<str>, usize>,
     obs: Option<EngineObs>,
 }
 
@@ -158,10 +160,10 @@ impl Engine {
         let ncs: Vec<CompiledNc> = model
             .entries
             .iter()
-            .map(|e| CompiledNc::new(e.suffix.clone(), e.class, e.single, e.regexes.clone()))
+            .map(|e| CompiledNc::new(&e.suffix, e.class, e.single, e.regexes.clone()))
             .collect();
         let by_suffix =
-            ncs.iter().enumerate().map(|(i, nc)| (nc.suffix.clone(), i)).collect();
+            ncs.iter().enumerate().map(|(i, nc)| (Arc::clone(&nc.suffix), i)).collect();
         Engine { psl, ncs, by_suffix, obs: None }
     }
 
@@ -209,9 +211,11 @@ impl Engine {
     }
 
     /// Looks up one hostname: dispatch to its suffix's NC, then run the
-    /// regexes. Matching is case-insensitive (one lowercase pass here).
+    /// regexes. Matching is case-insensitive; a name holding uppercase
+    /// is lowercased into a copy, any other is used as is, so a
+    /// lowercase lookup allocates nothing.
     pub fn extract(&self, hostname: &str) -> Extraction {
-        self.extract_lower(&hostname.to_ascii_lowercase())
+        self.extract_lower(&lowercase(hostname))
     }
 
     /// [`Engine::extract`] for a hostname the caller has already
@@ -295,7 +299,7 @@ mod tests {
         let e = engine();
         let x = e.extract("p714.sgw.equinix.com");
         assert_eq!(x.asn, Some(714));
-        assert_eq!(x.nc.map(|i| e.conventions()[i].suffix.as_str()), Some("equinix.com"));
+        assert_eq!(x.nc.map(|i| &*e.conventions()[i].suffix), Some("equinix.com"));
         // Second regex in rank order.
         assert_eq!(e.extract("24482-fr5-ix.equinix.com").asn, Some(24482));
         // Covered suffix, no match: dispatched but no ASN.

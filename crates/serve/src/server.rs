@@ -190,7 +190,7 @@ impl Generation {
             Some(i) => {
                 self.per_suffix[i].fetch_add(1, Ordering::Relaxed);
                 let nc = &self.engine.conventions()[i];
-                (Some(nc.suffix.clone()), Some(nc.class))
+                (Some(Arc::clone(&nc.suffix)), Some(nc.class))
             }
             None => (None, None),
         };
@@ -204,8 +204,9 @@ impl Generation {
 pub struct QueryAnswer {
     /// The extracted ASN, when a regex matched.
     pub asn: Option<u32>,
-    /// The suffix whose convention served the query.
-    pub suffix: Option<String>,
+    /// The suffix whose convention served the query, shared with the
+    /// convention ([`CompiledNc::suffix`](crate::engine::CompiledNc)).
+    pub suffix: Option<Arc<str>>,
     /// That convention's quality class.
     pub class: Option<NcClass>,
 }
@@ -347,7 +348,7 @@ impl Backend for EngineBackend {
             .conventions()
             .iter()
             .zip(&gen.per_suffix)
-            .map(|(nc, n)| (nc.suffix.clone(), n.load(Ordering::Relaxed)))
+            .map(|(nc, n)| (nc.suffix.to_string(), n.load(Ordering::Relaxed)))
             .collect()
     }
 
@@ -651,10 +652,20 @@ const SWEEP_EVERY: Duration = Duration::from_secs(1);
 /// level-triggered registration re-reports whatever remains).
 const READS_PER_EVENT: usize = 4;
 
-/// An in-progress `BATCH <n>`: collected hostnames until `expected`.
+/// An in-progress `BATCH <n>`: the hostnames collected so far, back to
+/// back in one buffer, with each one's end offset, until `expected`.
 struct BatchState {
     expected: usize,
-    hosts: Vec<String>,
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl BatchState {
+    /// The collected hostnames, in arrival order.
+    fn hosts(&self) -> Vec<&str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.text[start..end]).collect()
+    }
 }
 
 /// One connection's state on its event loop.
@@ -813,10 +824,11 @@ impl Conn {
     /// ordinary request.
     fn serve_text(&mut self, text: &str, shared: &Shared, phase: &PhaseCell) {
         if let Some(b) = self.batch.as_mut() {
-            b.hosts.push(text.trim().to_string());
-            if b.hosts.len() == b.expected {
+            b.text.push_str(text.trim());
+            b.ends.push(b.text.len());
+            if b.ends.len() == b.expected {
                 let b = self.batch.take().expect("batch state just observed");
-                serve_batch(&b.hosts, &mut self.out, shared, phase);
+                serve_batch(&b.hosts(), &mut self.out, shared, phase);
             }
             return;
         }
@@ -838,7 +850,11 @@ impl Conn {
         let response = match arg.parse::<usize>() {
             Ok(0) => Some("ok\tbatch\t0\n".to_string()),
             Ok(n) if n <= MAX_BATCH => {
-                self.batch = Some(BatchState { expected: n, hosts: Vec::with_capacity(n) });
+                self.batch = Some(BatchState {
+                    expected: n,
+                    text: String::new(),
+                    ends: Vec::with_capacity(n),
+                });
                 None
             }
             Ok(n) => {
@@ -1095,15 +1111,14 @@ fn serve_line(text: &str, admin: bool, out: &mut Vec<u8>, shared: &Shared, phase
 /// — the same compute → count → write order as [`serve_line`] — so the
 /// registry is never caught mid-batch: by the time any later pipelined
 /// `METRICS` runs, the batch is either fully counted or not started.
-fn serve_batch(hosts: &[String], out: &mut Vec<u8>, shared: &Shared, phase: &PhaseCell) {
+fn serve_batch(hosts: &[&str], out: &mut Vec<u8>, shared: &Shared, phase: &PhaseCell) {
     let t0 = Instant::now();
-    let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
     let ctx = trace_ctx(shared);
     let answers = {
         let mut root = ctx.span(Layer::Server);
         root.detail(detail::BATCH);
         phase.set(Phase::Backend);
-        shared.backend.query_batch(&refs, &ctx)
+        shared.backend.query_batch(hosts, &ctx)
     };
     phase.set(Phase::Write);
     debug_assert_eq!(answers.len(), hosts.len(), "backend must answer every batch item");

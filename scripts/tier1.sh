@@ -43,8 +43,8 @@
 #      SCENARIOS.json via bench_diff.sh --quality.
 #  11. A fuzz-tier smoke: replay the committed `fuzz/corpus/` through
 #      every target's oracle, then a short fixed-seed fuzz run across
-#      all five targets (regex, artifact, shardmap, scenario, framing)
-#      that must find nothing.
+#      all seven targets (regex, multimatch, artifact, shardmap, psl,
+#      scenario, framing) that must find nothing.
 #  12. A fault-injection smoke over the live cluster server: loadgen
 #      with --chaos 0.2 must terminate, report its error rate, and
 #      leave the server answering normally.

@@ -69,7 +69,7 @@ fn saved_model_serves_the_learners_extractions() {
                     served.asn, direct, h.hostname
                 );
                 let nc = served.nc.expect("training hostname must dispatch");
-                assert_eq!(engine.conventions()[nc].suffix, st.suffix);
+                assert_eq!(*engine.conventions()[nc].suffix, *st.suffix);
                 checked += 1;
                 extracted += usize::from(direct.is_some());
             }
