@@ -196,9 +196,13 @@ pub fn learn_all_traced(
     out
 }
 
+/// Drops every regex whose element sequence appeared earlier in the
+/// pool, keeping first occurrences in order.
 fn dedup(pool: &mut Vec<crate::regex::Regex>) {
-    let mut seen = std::collections::BTreeSet::new();
-    pool.retain(|r| seen.insert(r.to_string()));
+    let mut seen = std::collections::HashSet::with_capacity(pool.len());
+    let keep: Vec<bool> = pool.iter().map(|r| seen.insert(r.elems())).collect();
+    let mut keep = keep.into_iter();
+    pool.retain(|_| keep.next() == Some(true));
 }
 
 #[cfg(test)]

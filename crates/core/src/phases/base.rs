@@ -25,7 +25,7 @@ use crate::iputil::overlaps_any;
 use crate::label::{structure_of, Portion, SpanLocation, Structure};
 use crate::regex::{Elem, Regex};
 use crate::training::{HostObs, SuffixTraining};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Tunables for base generation; see [`crate::learner::LearnConfig`] for
 /// the top-level knobs that feed these.
@@ -52,12 +52,14 @@ enum Slot {
     Choice(Vec<Vec<Elem>>),
 }
 
-/// Generates the deduplicated base regexes for a suffix.
+/// Generates the deduplicated base regexes for a suffix, in the order
+/// they were first generated.
 pub fn generate(st: &SuffixTraining, cfg: &BaseConfig) -> Vec<Regex> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    // Each distinct regex (by element sequence) with its first-seen rank.
+    #[allow(clippy::mutable_key_type)] // a `Regex` hashes and compares by its elements only
+    let mut seen: HashMap<Regex, usize> = HashMap::new();
     let mut donors: BTreeSet<String> = BTreeSet::new();
-    let mut out: Vec<Regex> = Vec::new();
-    for host in sample_hosts(st, cfg.max_gen_hosts) {
+    'hosts: for host in sample_hosts(st, cfg.max_gen_hosts) {
         let local = host.local.as_str();
         if local.is_empty() {
             continue;
@@ -78,16 +80,16 @@ pub fn generate(st: &SuffixTraining, cfg: &BaseConfig) -> Vec<Regex> {
             continue;
         }
         for r in host_regexes(local, &structure, &spans, &st.suffix, cfg) {
-            if out.len() >= cfg.max_base_regexes {
-                return out;
+            if seen.len() >= cfg.max_base_regexes {
+                break 'hosts;
             }
-            let key = r.to_string();
-            if seen.insert(key) {
-                out.push(r);
-            }
+            let rank = seen.len();
+            seen.entry(r).or_insert(rank);
         }
     }
-    out
+    let mut out: Vec<(usize, Regex)> = seen.into_iter().map(|(r, rank)| (rank, r)).collect();
+    out.sort_unstable_by_key(|&(rank, _)| rank);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The local part with every candidate span masked to one `#` — a byte

@@ -3,65 +3,113 @@
 //! Regexes `^p(\d+)…`, `^s(\d+)…` and `^(\d+)…` share everything but one
 //! literal; merging produces `^(?:p|s)?(\d+)…` — the `?` because one
 //! variant lacks the string entirely. The implementation abstracts each
-//! regex into *keys*: for every literal element, the element list with
-//! that literal replaced by a hole; and for every inter-element gap, the
-//! list with a hole inserted (representing the empty variant). Regexes
-//! sharing a key merge their hole-fillers into one alternation.
+//! regex into *skeletons*: for every literal element, the element list
+//! with that literal replaced by a hole; and for every inter-element
+//! gap, the list with a hole inserted (representing the empty variant).
+//! Regexes sharing a skeleton merge their hole-fillers into one
+//! alternation.
 //!
-//! When every filler shares a common prefix or suffix, the common part is
-//! factored back into a literal so `(?:as|gw-as)` becomes `(?:gw-)?as` —
-//! the paper's preference for regexes "a human might have built".
+//! Skeletons are keyed by structure, never by rendered text. Each
+//! distinct element of the pool is interned once per call as a `u32`,
+//! and a skeleton's key is the pair of id slices on either side of its
+//! hole, so equal keys are exactly equal element sequences. That agrees
+//! with keying by the rendered form because rendering is injective on
+//! what the learner pools: adjacent literals are coalesced and no
+//! digit-only class is produced (`tests/compiled_equiv.rs` pins the
+//! round trip). Literal holes create groups; a gap hole only joins a
+//! group some literal created, since empty fillers alone never merge.
+//! The merged regex is spliced from the element slices around the hole.
+//!
+//! A merge needs at least two distinct literals. When every literal
+//! shares a common prefix or suffix, the common part is factored back
+//! into a literal so `(?:as|gw-as)` becomes `(?:gw-)?as` — the paper's
+//! preference for regexes "a human might have built". An empty variant
+//! must skip the whole filler, affixes included, so with one the
+//! literals stay whole: `(?:xas|yas)?`, never `(?:x|y)?as`.
 
-use crate::regex::{render_elems, AltGroup, Elem, Regex};
-use std::collections::BTreeMap;
+use crate::regex::{AltGroup, Elem, Regex};
+use std::collections::HashMap;
+
+/// Over-merging guard: alternations beyond this many options are
+/// memorised training text, not a convention.
+const MAX_OPTIONS: usize = 8;
 
 /// Merges near-identical regexes; returns only the newly created merged
-/// regexes (callers keep the originals in the pool).
+/// regexes (callers keep the originals in the pool), sorted by their
+/// textual form.
 pub fn merge(pool: &[Regex]) -> Vec<Regex> {
-    // Key: rendered skeleton with a hole marker. Value: set of fillers.
-    let mut groups: BTreeMap<String, Vec<String>> = BTreeMap::new();
-
+    // Every regex as a run of interned element ids, all runs in one
+    // buffer: regex `ri` is `ids[starts[ri]..starts[ri + 1]]`.
+    let mut intern: HashMap<&Elem, u32> = HashMap::new();
+    let mut ids: Vec<u32> = Vec::new();
+    let mut starts: Vec<usize> = Vec::with_capacity(pool.len() + 1);
+    starts.push(0);
     for r in pool {
-        let elems = r.elems();
-        for (i, e) in elems.iter().enumerate() {
-            if let Elem::Lit(l) = e {
-                let key = skeleton_key(elems, i);
-                groups.entry(key).or_default().push(l.clone());
-            }
+        for e in r.elems() {
+            let next = intern.len() as u32;
+            ids.push(*intern.entry(e).or_insert(next));
         }
-        // Gap keys: the regex as the "empty string" variant at gap g.
-        // Only gaps adjacent to a literal in some other regex can merge;
-        // emitting all gaps is cheap and the dedup below drops dead keys.
-        for g in 0..=elems.len() {
-            // Skip gaps that would place the hole before `^` or after `$`.
-            if g == 0 && matches!(elems.first(), Some(Elem::StartAnchor)) {
-                continue;
+        starts.push(ids.len());
+    }
+    let ids_of = |ri: usize| &ids[starts[ri]..starts[ri + 1]];
+
+    // Literal holes: each distinct skeleton becomes a group, remembered
+    // by the (regex, element) of its first literal; every literal is
+    // one (group, filler) pair.
+    let mut groups: HashMap<(&[u32], &[u32]), usize> = HashMap::new();
+    let mut reps: Vec<(usize, usize)> = Vec::new();
+    let mut fillers: Vec<(usize, &str)> = Vec::new();
+    for (ri, r) in pool.iter().enumerate() {
+        let id = ids_of(ri);
+        for (i, e) in r.elems().iter().enumerate() {
+            if let Elem::Lit(l) = e {
+                let fresh = reps.len();
+                let g = *groups.entry((&id[..i], &id[i + 1..])).or_insert(fresh);
+                if g == fresh {
+                    reps.push((ri, i));
+                }
+                fillers.push((g, l));
             }
-            if g == elems.len() && matches!(elems.last(), Some(Elem::EndAnchor)) {
-                continue;
-            }
-            let key = skeleton_key_gap(elems, g);
-            groups.entry(key).or_default().push(String::new());
         }
     }
 
-    /// Over-merging guard: alternations beyond this many options are
-    /// memorised training text, not a convention.
-    const MAX_OPTIONS: usize = 8;
+    // Gap holes: the regex as the empty variant of a group. A literal
+    // hole never borders another literal (literals are coalesced), so
+    // only gaps between two non-literals can meet a group. Gaps before
+    // `^` or after `$` are never holes.
+    let mut has_empty = vec![false; reps.len()];
+    for (ri, r) in pool.iter().enumerate() {
+        let (id, elems) = (ids_of(ri), r.elems());
+        for g in 0..=elems.len() {
+            if matches!(
+                (g.checked_sub(1).map(|b| &elems[b]), elems.get(g)),
+                (Some(Elem::Lit(_)), _)
+                    | (_, Some(Elem::Lit(_)))
+                    | (None, Some(Elem::StartAnchor))
+                    | (Some(Elem::EndAnchor), None)
+            ) {
+                continue;
+            }
+            if let Some(&gi) = groups.get(&(&id[..g], &id[g..])) {
+                has_empty[gi] = true;
+            }
+        }
+    }
 
+    fillers.sort_unstable();
+    fillers.dedup();
     let mut out = Vec::new();
-    for (key, mut fillers) in groups {
-        fillers.sort();
-        fillers.dedup();
-        // A merge needs at least two distinct non-empty-or-not variants,
-        // including at least one non-empty literal.
-        if fillers.len() < 2
-            || fillers.len() > MAX_OPTIONS
-            || fillers.iter().all(|f| f.is_empty())
-        {
+    let mut texts: Vec<&str> = Vec::new();
+    for run in fillers.chunk_by(|a, b| a.0 == b.0) {
+        let g = run[0].0;
+        if run.len() < 2 || run.len() + usize::from(has_empty[g]) > MAX_OPTIONS {
             continue;
         }
-        if let Some(r) = build_merged(&key, &fillers) {
+        texts.clear();
+        texts.extend(run.iter().map(|&(_, f)| f));
+        let (ri, i) = reps[g];
+        let elems = pool[ri].elems();
+        if let Some(r) = build_merged(&elems[..i], &elems[i + 1..], &texts, has_empty[g]) {
             out.push(r);
         }
     }
@@ -70,115 +118,51 @@ pub fn merge(pool: &[Regex]) -> Vec<Regex> {
     out
 }
 
-/// Marker that cannot appear in a rendered regex (uppercase is never
-/// emitted by the dialect).
-const HOLE: &str = "\u{1}HOLE\u{1}";
-
-/// Renders `elems` with element `i` replaced by the hole. Rendering the
-/// halves directly (no clone into a temporary `Regex`) is byte-identical
-/// to the rendered `Regex`: literal coalescing never changes the
-/// rendered form, and the hole bytes pass `escape_lit` untouched.
-fn skeleton_key(elems: &[Elem], i: usize) -> String {
-    let mut key = String::new();
-    render_elems(&elems[..i], &mut key);
-    key.push_str(HOLE);
-    render_elems(&elems[i + 1..], &mut key);
-    key
-}
-
-/// Renders `elems` with the hole inserted at gap `g`.
-fn skeleton_key_gap(elems: &[Elem], g: usize) -> String {
-    let mut key = String::new();
-    render_elems(&elems[..g], &mut key);
-    key.push_str(HOLE);
-    render_elems(&elems[g..], &mut key);
-    key
-}
-
-/// Rebuilds a merged regex from a skeleton key and its fillers.
-fn build_merged(key: &str, fillers: &[String]) -> Option<Regex> {
-    // Factor common prefix/suffix out of the non-empty fillers so the
-    // alternation stays minimal.
-    let nonempty: Vec<&str> = fillers.iter().filter(|f| !f.is_empty()).map(|s| s.as_str()).collect();
-    let has_empty = fillers.iter().any(|f| f.is_empty());
-    let prefix = common_prefix(&nonempty);
-    let suffix = common_suffix(&nonempty, prefix.len());
-    let variants: Vec<String> = fillers
-        .iter()
-        .map(|f| {
-            if f.is_empty() {
-                String::new()
-            } else {
-                f[prefix.len()..f.len() - suffix.len()].to_string()
-            }
-        })
-        .collect();
-
-    // "Simple strings" (§3.3) never span a label boundary: if what is
-    // left after factoring the common affixes still contains a dot, the
-    // regexes differ in structure, not in one string — do not merge.
-    // (With an empty variant no affixes can be factored, so the raw
-    // fillers must be dot-free.)
-    let structural = if has_empty {
-        fillers.iter().any(|f| f.contains('.'))
+/// Splices the alternation of `literals` (sorted, distinct, at least
+/// two), plus the empty variant when `has_empty`, between `left` and
+/// `right`.
+fn build_merged(
+    left: &[Elem],
+    right: &[Elem],
+    literals: &[&str],
+    has_empty: bool,
+) -> Option<Regex> {
+    let mut hole: Vec<Elem> = Vec::with_capacity(3);
+    if has_empty {
+        // "Simple strings" (§3.3) never span a label boundary: a dot
+        // means the regexes differ in structure, not in one string.
+        if literals.iter().any(|l| l.contains('.')) {
+            return None;
+        }
+        let variants = literals.iter().map(|l| l.to_string()).chain([String::new()]);
+        hole.push(Elem::Alt(AltGroup::from_variants(variants)?));
     } else {
-        variants.iter().any(|v| v.contains('.'))
-    };
-    if structural {
-        return None;
-    }
-
-    // If factoring collapses everything into the affixes (e.g. fillers
-    // {"as"} plus empty), variants are {"", "as"}…; AltGroup handles it.
-    let alt = AltGroup::from_variants(variants)?;
-    let hole_replacement: Vec<Elem> = {
-        let mut v = Vec::new();
-        if !prefix.is_empty() && !has_empty {
-            v.push(Elem::Lit(prefix.clone()));
+        // Factor the common affixes out so the alternation stays
+        // minimal; the dot rule applies to what is left.
+        let prefix = common_prefix(literals);
+        let suffix = common_suffix(literals, prefix.len());
+        let variants: Vec<String> =
+            literals.iter().map(|l| l[prefix.len()..l.len() - suffix.len()].to_string()).collect();
+        if variants.iter().any(|v| v.contains('.')) {
+            return None;
         }
-        if has_empty && !prefix.is_empty() {
-            // Cannot factor affixes when an empty variant exists — the
-            // empty variant must skip the affixes too. Re-expand.
-            let alt = AltGroup::from_variants(
-                fillers.to_vec(),
-            )?;
-            let mut w = vec![Elem::Alt(alt)];
-            return splice(key, &mut w);
+        if !prefix.is_empty() {
+            hole.push(Elem::Lit(prefix.to_string()));
         }
-        v.push(Elem::Alt(alt));
-        if !suffix.is_empty() && !has_empty {
-            v.push(Elem::Lit(suffix.clone()));
+        hole.push(Elem::Alt(AltGroup::from_variants(variants)?));
+        if !suffix.is_empty() {
+            hole.push(Elem::Lit(suffix.to_string()));
         }
-        v
-    };
-    let mut repl = hole_replacement;
-    splice(key, &mut repl)
-}
-
-/// Parses the skeleton key back and replaces the hole literal with
-/// `replacement`.
-fn splice(key: &str, replacement: &mut Vec<Elem>) -> Option<Regex> {
-    // The key is a rendered regex whose hole lives inside a literal.
-    // Rather than re-parse (the hole bytes are not in the dialect), split
-    // the key string on the hole and parse the two halves.
-    let pos = key.find(HOLE)?;
-    let (left, right) = (&key[..pos], &key[pos + HOLE.len()..]);
-    let mut elems: Vec<Elem> = Vec::new();
-    if !left.is_empty() {
-        elems.extend(Regex::parse(left).ok()?.elems().iter().cloned());
     }
-    elems.append(replacement);
-    if !right.is_empty() {
-        // The right half may start mid-pattern with `$`/literals; the
-        // parser accepts `$` only at the end, which holds here because the
-        // hole never splits an element.
-        elems.extend(Regex::parse(right).ok()?.elems().iter().cloned());
-    }
+    let mut elems = Vec::with_capacity(left.len() + hole.len() + right.len());
+    elems.extend_from_slice(left);
+    elems.append(&mut hole);
+    elems.extend_from_slice(right);
     Some(Regex::new(elems))
 }
 
-fn common_prefix(strings: &[&str]) -> String {
-    let Some(first) = strings.first() else { return String::new() };
+fn common_prefix<'a>(strings: &[&'a str]) -> &'a str {
+    let Some(first) = strings.first() else { return "" };
     let mut len = first.len();
     for s in &strings[1..] {
         len = len.min(s.len());
@@ -186,11 +170,11 @@ fn common_prefix(strings: &[&str]) -> String {
             len -= 1;
         }
     }
-    first[..len].to_string()
+    &first[..len]
 }
 
-fn common_suffix(strings: &[&str], reserved_prefix: usize) -> String {
-    let Some(first) = strings.first() else { return String::new() };
+fn common_suffix<'a>(strings: &[&'a str], reserved_prefix: usize) -> &'a str {
+    let Some(first) = strings.first() else { return "" };
     let mut len = first.len() - reserved_prefix;
     for s in &strings[1..] {
         let avail = s.len() - reserved_prefix;
@@ -199,7 +183,7 @@ fn common_suffix(strings: &[&str], reserved_prefix: usize) -> String {
             len -= 1;
         }
     }
-    first[first.len() - len..].to_string()
+    &first[first.len() - len..]
 }
 
 #[cfg(test)]
@@ -284,6 +268,51 @@ mod tests {
         let strings: Vec<String> = merged.iter().map(|r| r.to_string()).collect();
         // No affix factoring because of the empty variant.
         assert!(strings.iter().any(|s| s == r"^(?:p|ps)?(\d+)\.x\.com$"), "{strings:?}");
+    }
+
+    /// An empty variant must skip the common suffix too: factoring `as`
+    /// out of `xas`/`yas` beside a bare variant would accept `x1.x.com`
+    /// and reject `xas1.x.com`, which the merged regexes matched.
+    #[test]
+    fn empty_variant_keeps_common_suffix() {
+        let pool = vec![
+            rx(r"^(\d+)\.x\.com$"),
+            rx(r"^xas(\d+)\.x\.com$"),
+            rx(r"^yas(\d+)\.x\.com$"),
+        ];
+        let merged = merge(&pool);
+        let strings: Vec<String> = merged.iter().map(|r| r.to_string()).collect();
+        assert_eq!(strings, [r"^(?:xas|yas)?(\d+)\.x\.com$"]);
+        let m = &merged[0];
+        for host in ["1.x.com", "xas1.x.com", "yas1.x.com"] {
+            assert!(m.is_match(host), "{m} must match {host}");
+        }
+        assert!(!m.is_match("x1.x.com"), "{m} must not match x1.x.com");
+    }
+
+    /// A merge needs two distinct literals: one literal beside the
+    /// empty variant (`^(\d+)…` and `^as(\d+)…`) stays unmerged.
+    #[test]
+    fn lone_literal_beside_empty_variant_does_not_merge() {
+        let pool = vec![rx(r"^(\d+)\.x\.com$"), rx(r"^as(\d+)\.x\.com$")];
+        assert!(merge(&pool).is_empty());
+    }
+
+    /// Output is sorted by textual form, whatever order the groups
+    /// were found in.
+    #[test]
+    fn output_sorted_by_text() {
+        let pool = vec![
+            rx(r"^as(\d+)\.cust\.x\.com$"),
+            rx(r"^as(\d+)\.peer\.x\.com$"),
+            rx(r"^p(\d+)\.x\.com$"),
+            rx(r"^s(\d+)\.x\.com$"),
+        ];
+        let strings: Vec<String> = merge(&pool).iter().map(|r| r.to_string()).collect();
+        let mut sorted = strings.clone();
+        sorted.sort();
+        assert_eq!(strings, sorted);
+        assert_eq!(strings.len(), 2, "{strings:?}");
     }
 
     #[test]

@@ -9,40 +9,45 @@
 //! if it lowers PPV — discrepancies between training and embedded ASNs
 //! are the signal §5 consumes, so coverage wins (§3.5).
 //!
-//! ## The outcome matrix
+//! ## Sparse hits and bitsets
 //!
 //! Set semantics are first-match-wins per hostname, so a trial set's
 //! `Counts` is fully determined by each member regex's *individual*
-//! per-host outcome. The default fast path therefore evaluates every
-//! pooled regex exactly once per host — through its compiled program
-//! ([`crate::regex::CompiledRegex`]) — into a column of
-//! `Option<Outcome>` cells (`Some` iff the regex matched with a
-//! capture, which is when it would claim the host in a set). Ranking
-//! folds each column into `Counts`, and greedy extension becomes an
-//! incremental merge: only hosts the current set leaves unresolved are
-//! consulted when scoring a trial, and the trial's ATP is the current
-//! set's resolved tally plus the candidate column's contribution on
-//! those hosts. No matcher runs during greedy extension at all.
+//! per-host outcome. The default path therefore evaluates every pooled
+//! regex at most once per host — through its compiled program
+//! ([`crate::regex::CompiledRegex`]) — and keeps only its *hits*: the
+//! `(host, outcome)` pairs where it matched with a capture, which is
+//! when it would claim the host in a set. A host no regex claims is FN
+//! or TN by `has_apparent` alone, so a regex's `Counts` fold from its
+//! hits and the suffix's count of apparent hosts.
 //!
-//! The default column build goes one step further (`multi_matcher:
-//! true`): a pool-wide [`MultiMatcher`] — an Aho–Corasick automaton
-//! over every program's required literals — scans each host **once**
-//! and dispatches only the regexes whose literals all occurred (plus
-//! the literal-free fallback bucket). Skipped cells are provably `None`
-//! (a missing required literal rules the match out), so the matrix is
-//! bit-identical to evaluating everything; the skip volume is exported
-//! as `hoiho_learn_prefilter_skips_total`.
+//! Ranking sorts by the numeric key (ATP, TP, FP, memorised text,
+//! component strength) and renders a regex's text only to break a tie
+//! on all of it, within the kept `max_pool`; the final candidate order
+//! reuses those texts for its own tie-break. Greedy extension runs on
+//! per-regex TP and FP bitsets over the hosts: a trial's ATP is the
+//! current set's tally plus popcounts of the candidate's bits on the
+//! hosts the set leaves open. No matcher runs during greedy extension.
+//!
+//! Hits come from a pool-wide [`MultiMatcher`] (`multi_matcher: true`,
+//! the default) — an Aho–Corasick automaton over every program's
+//! required literals — which scans each host **once** and dispatches
+//! only the regexes whose literals all occurred (plus the literal-free
+//! fallback bucket). A skipped pair is provably no hit (a missing
+//! required literal rules the match out), so the hits are identical to
+//! evaluating every pair; the skip volume is exported as
+//! `hoiho_learn_prefilter_skips_total`.
 //!
 //! The direct path (`outcome_matrix: false`) re-evaluates every trial
-//! set with the interpreter, exactly as before; the equivalence tests
-//! in `tests/compiled_equiv.rs` pin all paths to identical output.
+//! set in full and ranks by rendered text. It is the reference:
+//! the equivalence tests in `tests/compiled_equiv.rs` pin all paths to
+//! identical output.
 
-use crate::eval::{
-    evaluate, evaluate_one, negative_outcome, regex_hit, regex_hit_cached, Counts, Outcome,
-};
+use crate::eval::{evaluate, evaluate_one, regex_hit, regex_hit_cached, Counts, Outcome};
 use crate::regex::{CompiledRegex, MultiMatcher, Regex};
 use crate::training::HostObs;
 use hoiho_obs::Counter;
+use std::cmp::Reverse;
 use std::sync::OnceLock;
 
 /// A candidate naming convention: an ordered regex list with its
@@ -64,20 +69,19 @@ pub struct SetsConfig {
     pub max_set_size: usize,
     /// Cap on ranked regexes considered for extension.
     pub max_pool: usize,
-    /// Use the memoized outcome-matrix fast path (default). The slow
-    /// direct path re-evaluates every greedy trial with the
-    /// interpreter; both produce identical output.
+    /// Use the sparse-hit fast path (default). The slow direct path
+    /// re-evaluates every greedy trial in full; both produce
+    /// identical output.
     pub outcome_matrix: bool,
-    /// On the matrix path, build columns through one Aho–Corasick scan
+    /// On the fast path, collect hits through one Aho–Corasick scan
     /// per host ([`MultiMatcher`] literal dispatch) instead of one full
-    /// scan per (regex, host). Off falls back to the per-regex column
-    /// build (the PR 5 path), kept as the equivalence oracle; both
-    /// produce identical output.
+    /// scan per (regex, host). Off evaluates every pair, kept as the
+    /// equivalence oracle; both produce identical output.
     pub multi_matcher: bool,
-    /// Smallest matrix (`pool × hosts` cells) worth an automaton: below
-    /// this the [`MultiMatcher`] build costs more than the evaluations
-    /// it skips, so the per-regex column build runs even with
-    /// `multi_matcher` on. Tests force `0` to pin the dispatch path.
+    /// Smallest `pool × hosts` product worth an automaton: below this
+    /// the [`MultiMatcher`] build costs more than the evaluations it
+    /// skips, so every pair is evaluated even with `multi_matcher` on.
+    /// Tests force `0` to pin the dispatch path.
     pub multi_matcher_min_cells: usize,
 }
 
@@ -101,13 +105,13 @@ pub struct SetsStats {
     /// (regex, host) evaluations that ran.
     pub dispatched: u64,
     /// Evaluations skipped by literal dispatch (a required literal was
-    /// absent, so the cell is `None` without running the program).
+    /// absent, so the pair is no hit without running the program).
     pub skipped: u64,
 }
 
 /// Process-global `hoiho_learn_evaluations_total{phase}` counters:
-/// `rank` counts one evaluation per pooled regex (one column build on
-/// the fast path), `greedy` one per trial-set scoring. Visible over the
+/// `rank` counts one evaluation per pooled regex (one hit list on the
+/// fast path), `greedy` one per trial-set scoring. Visible over the
 /// serving `METRICS` verb and summarised by `hoiho learn --trace`.
 fn eval_counters() -> &'static (Counter, Counter) {
     static COUNTERS: OnceLock<(Counter, Counter)> = OnceLock::new();
@@ -123,7 +127,7 @@ fn eval_counters() -> &'static (Counter, Counter) {
 /// Process-global `hoiho_learn_prefilter_skips_total`: (regex, host)
 /// evaluations the pool-wide literal dispatch proved unnecessary. Read
 /// next to `hoiho_learn_evaluations_total{phase="rank"}` to see the
-/// fraction of the matrix the automaton skipped.
+/// fraction of the pairs the automaton skipped.
 fn prefilter_skips() -> &'static Counter {
     static COUNTER: OnceLock<Counter> = OnceLock::new();
     COUNTER.get_or_init(|| {
@@ -140,7 +144,7 @@ pub fn build_sets(pool: &[Regex], hosts: &[HostObs], cfg: &SetsConfig) -> Vec<Ca
     build_sets_stats(pool, hosts, cfg).0
 }
 
-/// [`build_sets`] that also reports what the column build dispatched
+/// [`build_sets`] that also reports what the hit collection dispatched
 /// and skipped — the learner attaches this to its `sets` trace span.
 pub fn build_sets_stats(
     pool: &[Regex],
@@ -149,75 +153,60 @@ pub fn build_sets_stats(
 ) -> (Vec<CandidateNc>, SetsStats) {
     eval_counters().0.add(pool.len() as u64);
     let mut stats = SetsStats::default();
-    let mut out = if cfg.outcome_matrix {
-        build_sets_matrix(pool, hosts, cfg, &mut stats)
+    let out = if cfg.outcome_matrix {
+        build_sets_sparse(pool, hosts, cfg, &mut stats)
     } else {
         stats.dispatched = (pool.len() * hosts.len()) as u64;
         build_sets_direct(pool, hosts, cfg)
     };
-
-    // Dedup identical conventions (two seeds can converge). The key is
-    // computed once per candidate — the tie-breaks render the regexes
-    // to text, far too expensive to re-run inside a comparator.
-    out.sort_by_cached_key(|c| {
-        (
-            std::cmp::Reverse(c.counts.atp()),
-            std::cmp::Reverse(c.counts.tp),
-            c.counts.fp,
-            c.regexes.len(),
-            memorised(&c.regexes),
-            std::cmp::Reverse(strength(&c.regexes)),
-            key(&c.regexes),
-        )
-    });
-    out.dedup_by(|a, b| a.regexes == b.regexes);
     (out, stats)
 }
 
-/// Rank-sorts evaluated candidates, in place, with the anti-over-fitting
-/// tie-breaks, then applies the pool cap and drops duplicates.
-fn rank_and_prune<T>(ranked: &mut Vec<(Regex, Counts, T)>, cfg: &SetsConfig) {
-    // Mirrors `rank_order` plus the anti-over-fitting tie-breaks: less
-    // memorised text, then stronger components, then the textual form.
-    // One cached key per candidate — the textual tie-break formats the
-    // regex, far too expensive to re-run inside a comparator.
-    ranked.sort_by_cached_key(|(r, c, _)| {
-        (
-            std::cmp::Reverse(c.atp()),
-            std::cmp::Reverse(c.tp),
-            c.fp,
-            r.memorised_chars(),
-            std::cmp::Reverse(r.component_strength()),
-            r.to_string(),
-        )
-    });
-    ranked.truncate(cfg.max_pool);
-    ranked.dedup_by(|a, b| a.0 == b.0);
+/// Every pooled regex's hits in one buffer: regex `ri` claims
+/// `cells[starts[ri]..starts[ri + 1]]`, in host order. Every outcome
+/// is a TP or an FP ([`regex_hit`] is `Some` only for a capture).
+struct Hits {
+    starts: Vec<usize>,
+    cells: Vec<(u32, Outcome)>,
 }
 
-/// Fast path: at most one compiled evaluation per (regex, host), then
-/// pure column composition.
-fn build_sets_matrix(
-    pool: &[Regex],
-    hosts: &[HostObs],
-    cfg: &SetsConfig,
-    stats: &mut SetsStats,
-) -> Vec<CandidateNc> {
-    let greedy_evals = &eval_counters().1;
+impl Hits {
+    fn of(&self, ri: usize) -> &[(u32, Outcome)] {
+        &self.cells[self.starts[ri]..self.starts[ri + 1]]
+    }
 
-    // Layer 1: each pooled regex compiles once into its on-`Regex` cache.
-    // Layer 2: evaluate it at most once per host into its outcome column.
-    // With `multi_matcher` on, "at most" does the heavy lifting: one
-    // automaton scan per host dispatches only the regexes whose required
-    // literals all occurred; a skipped cell is provably `None`, so the
-    // columns are bit-identical to the evaluate-everything build below.
-    let columns: Vec<Vec<Option<Outcome>>> = if cfg.multi_matcher
-        && pool.len() * hosts.len() >= cfg.multi_matcher_min_cells
-    {
-        let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
+    /// Evaluates each program at most once per host. With
+    /// `multi_matcher` on, "at most" does the heavy lifting: one
+    /// automaton scan per host dispatches only the programs whose
+    /// required literals all occurred, and a skipped pair is provably
+    /// no hit.
+    fn collect(
+        programs: &[&CompiledRegex],
+        hosts: &[HostObs],
+        cfg: &SetsConfig,
+        stats: &mut SetsStats,
+    ) -> Hits {
+        let pairs = programs.len() * hosts.len();
+        let mut starts = Vec::with_capacity(programs.len() + 1);
+        starts.push(0);
+        if !cfg.multi_matcher || pairs < cfg.multi_matcher_min_cells {
+            stats.dispatched = pairs as u64;
+            let mut cells = Vec::new();
+            for p in programs {
+                for (hi, h) in hosts.iter().enumerate() {
+                    if let Some(o) = regex_hit(p, h) {
+                        cells.push((hi as u32, o));
+                    }
+                }
+                starts.push(cells.len());
+            }
+            return Hits { starts, cells };
+        }
         let matcher = MultiMatcher::build(programs.iter().copied());
         let mut scratch = matcher.scratch();
-        let mut columns: Vec<Vec<Option<Outcome>>> = vec![vec![None; hosts.len()]; pool.len()];
+        // Hits arrive host by host as (regex, host, outcome); a counting
+        // sort by regex keeps each regex's hits in host order.
+        let mut found: Vec<(u32, u32, Outcome)> = Vec::new();
         for (hi, h) in hosts.iter().enumerate() {
             let dispatched = matcher.dispatch(h.hostname.as_bytes(), &mut scratch);
             stats.dispatched += dispatched.len() as u64;
@@ -225,107 +214,324 @@ fn build_sets_matrix(
             // a host; the one-entry cache skips re-classifying it.
             let mut span_cache = None;
             for &ri in dispatched {
-                columns[ri as usize][hi] = regex_hit_cached(programs[ri as usize], h, &mut span_cache);
+                if let Some(o) = regex_hit_cached(programs[ri as usize], h, &mut span_cache) {
+                    found.push((ri, hi as u32, o));
+                }
             }
         }
-        stats.skipped = (pool.len() * hosts.len()) as u64 - stats.dispatched;
+        stats.skipped = pairs as u64 - stats.dispatched;
         prefilter_skips().add(stats.skipped);
-        columns
-    } else {
-        stats.dispatched = (pool.len() * hosts.len()) as u64;
-        pool.iter()
-            .map(|r| {
-                let p = r.program();
-                hosts.iter().map(|h| regex_hit(p, h)).collect()
-            })
-            .collect()
-    };
+        starts.resize(programs.len() + 1, 0);
+        for &(ri, _, _) in &found {
+            starts[ri as usize + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut next = starts.clone();
+        let mut cells = vec![(0, Outcome::TrueNegative); found.len()];
+        for (ri, hi, o) in found {
+            let at = &mut next[ri as usize];
+            cells[*at] = (hi, o);
+            *at += 1;
+        }
+        Hits { starts, cells }
+    }
+}
 
-    let mut ranked: Vec<(Regex, Counts, usize)> = pool
+/// The numeric `Counts` (no unique-value sets) of a set that claims
+/// exactly `hits`: every other host is FN when it has an apparent ASN
+/// (`apparent` counts those over all hosts) and TN when not.
+fn tally(hits: &[(u32, Outcome)], hosts: &[HostObs], apparent: u32) -> Counts {
+    let mut c = Counts::default();
+    let mut claimed_apparent = 0;
+    for &(hi, o) in hits {
+        match o {
+            Outcome::TruePositive(_) => c.tp += 1,
+            _ => c.fp += 1,
+        }
+        claimed_apparent += u32::from(hosts[hi as usize].has_apparent());
+    }
+    c.fnn = apparent - claimed_apparent;
+    c.tn = hosts.len() as u32 - c.tp - c.fp - c.fnn;
+    c
+}
+
+/// The full `Counts` of a set that claims exactly `hits`: [`tally`]
+/// plus the unique-value sets, bulk-built (collect, sort, dedup).
+fn fold(hits: &[(u32, Outcome)], hosts: &[HostObs], apparent: u32) -> Counts {
+    let mut c = tally(hits, hosts, apparent);
+    let mut tp_asns: Vec<u32> = Vec::with_capacity(c.tp as usize);
+    let mut extracted: Vec<u32> = Vec::with_capacity(hits.len());
+    for &(hi, o) in hits {
+        match o {
+            Outcome::TruePositive(v) => {
+                tp_asns.push(hosts[hi as usize].training_asn);
+                extracted.push(v);
+            }
+            Outcome::FalsePositive(v) => extracted.push(v),
+            Outcome::FalseNegative | Outcome::TrueNegative => {}
+        }
+    }
+    tp_asns.sort_unstable();
+    tp_asns.dedup();
+    extracted.sort_unstable();
+    extracted.dedup();
+    c.unique_tp_asns = tp_asns;
+    c.unique_extracted = extracted;
+    c
+}
+
+/// Sorts `items` by `key`, then hands each run of equal keys that
+/// reaches into the first `limit` items to `tie`, which orders it by
+/// text. Runs wholly past `limit` are about to be dropped, so their
+/// text is never rendered.
+fn sort_with_ties<T, K: Ord>(
+    items: &mut [T],
+    limit: usize,
+    key: impl Fn(&T) -> K,
+    mut tie: impl FnMut(&mut [T]),
+) {
+    items.sort_unstable_by_key(&key);
+    let mut start = 0;
+    while start < items.len().min(limit) {
+        let k = key(&items[start]);
+        let len = items[start..].iter().take_while(|x| key(x) == k).count();
+        if len > 1 {
+            tie(&mut items[start..start + len]);
+        }
+        start += len;
+    }
+}
+
+/// A pooled regex with at least one TP, and the numeric part of its
+/// rank key.
+struct Ranked {
+    /// Index into the pool and the hits.
+    ri: usize,
+    /// Numeric counts; the unique-value sets stay empty.
+    counts: Counts,
+    memorised: usize,
+    strength: usize,
+    /// The textual form, rendered only when a numeric tie needs it.
+    text: Option<String>,
+}
+
+impl Ranked {
+    /// ATP, then the anti-over-fitting tie-breaks: more TPs, fewer FPs,
+    /// less memorised text, stronger components.
+    fn key(&self) -> (Reverse<i64>, Reverse<u32>, u32, usize, Reverse<usize>) {
+        let c = &self.counts;
+        (Reverse(c.atp()), Reverse(c.tp), c.fp, self.memorised, Reverse(self.strength))
+    }
+}
+
+/// A candidate convention as indices into the ranked list.
+struct Cand {
+    members: Vec<usize>,
+    counts: Counts,
+    memorised: usize,
+    strength: usize,
+    /// The members' texts, each followed by a newline; rendered only
+    /// when a numeric tie needs it.
+    text: Option<String>,
+}
+
+impl Cand {
+    /// [`Ranked::key`] for sets: the member count sits between FPs and
+    /// memorised text, so the smaller set wins an otherwise equal tie.
+    fn key(&self) -> (Reverse<i64>, Reverse<u32>, u32, usize, usize, Reverse<usize>) {
+        let c = &self.counts;
+        let n = self.members.len();
+        (Reverse(c.atp()), Reverse(c.tp), c.fp, n, self.memorised, Reverse(self.strength))
+    }
+}
+
+/// Fast path: at most one compiled evaluation per (regex, host) into
+/// sparse hits, numeric ranking, then greedy extension on bitsets.
+fn build_sets_sparse(
+    pool: &[Regex],
+    hosts: &[HostObs],
+    cfg: &SetsConfig,
+    stats: &mut SetsStats,
+) -> Vec<CandidateNc> {
+    let greedy_evals = &eval_counters().1;
+    let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
+    let hits = Hits::collect(&programs, hosts, cfg, stats);
+    let apparent = hosts.iter().filter(|h| h.has_apparent()).count() as u32;
+
+    let mut ranked: Vec<Ranked> = pool
         .iter()
         .enumerate()
-        .map(|(ci, r)| (r.clone(), column_counts(&columns[ci], hosts), ci))
-        .filter(|(_, c, _)| c.tp > 0)
+        .filter_map(|(ri, r)| {
+            let counts = tally(hits.of(ri), hosts, apparent);
+            (counts.tp > 0).then(|| Ranked {
+                ri,
+                counts,
+                memorised: r.memorised_chars(),
+                strength: r.component_strength(),
+                text: None,
+            })
+        })
         .collect();
-    rank_and_prune(&mut ranked, cfg);
+    sort_with_ties(&mut ranked, cfg.max_pool, Ranked::key, |run| {
+        for r in run.iter_mut() {
+            r.text.get_or_insert_with(|| pool[r.ri].to_string());
+        }
+        run.sort_by(|a, b| a.text.cmp(&b.text));
+    });
+    ranked.truncate(cfg.max_pool);
+    ranked.dedup_by(|a, b| pool[a.ri] == pool[b.ri]);
 
-    let mut out: Vec<CandidateNc> = ranked
+    let mut cands: Vec<Cand> = ranked
         .iter()
-        .map(|(r, c, _)| CandidateNc { regexes: vec![r.clone()], counts: c.clone() })
+        .enumerate()
+        .map(|(k, r)| Cand {
+            members: vec![k],
+            counts: fold(hits.of(r.ri), hosts, apparent),
+            memorised: r.memorised,
+            strength: r.strength,
+            text: None,
+        })
         .collect();
 
-    // Greedy combination from each of the top `max_starts` seeds,
-    // merging candidate columns over the still-unresolved hosts only.
+    // Greedy combination from each of the top `max_starts` seeds. Each
+    // ranked regex's TP and FP hosts as bitsets, `words` u64s each.
+    let words = hosts.len().div_ceil(64);
+    let mut tp_bits = vec![0u64; ranked.len() * words];
+    let mut fp_bits = tp_bits.clone();
+    for (k, r) in ranked.iter().enumerate() {
+        for &(hi, o) in hits.of(r.ri) {
+            let bits = match o {
+                Outcome::TruePositive(_) => &mut tp_bits,
+                _ => &mut fp_bits,
+            };
+            bits[k * words + hi as usize / 64] |= 1 << (hi % 64);
+        }
+    }
+    let mut apparent_bits = vec![0u64; words];
+    for (hi, h) in hosts.iter().enumerate() {
+        if h.has_apparent() {
+            apparent_bits[hi / 64] |= 1 << (hi % 64);
+        }
+    }
+    let bits_of = |k: usize| (&tp_bits[k * words..][..words], &fp_bits[k * words..][..words]);
+    // First-match-wins state: `open` holds the hosts no member claims.
+    let mut open = vec![0u64; words];
+    let mut claims: Vec<(u32, Outcome)> = Vec::new();
     for i in 0..ranked.len().min(cfg.max_starts) {
-        let mut cur: Vec<Regex> = vec![ranked[i].0.clone()];
-        let mut cur_counts = ranked[i].1.clone();
-        // First-match-wins state: resolved cells are the TP/FP hosts
-        // some member already claims; everything else is still open.
-        let mut resolved: Vec<Option<Outcome>> = columns[ranked[i].2].clone();
-        let mut unresolved: Vec<usize> =
-            (0..hosts.len()).filter(|&hi| resolved[hi].is_none()).collect();
-        let mut res_tp = i64::from(cur_counts.tp);
-        let mut res_fp = i64::from(cur_counts.fp);
-        for (r, _, cj) in ranked.iter().skip(i + 1) {
-            if cur.len() >= cfg.max_set_size {
+        let (seed_tp, seed_fp) = bits_of(i);
+        for (w, o) in open.iter_mut().enumerate() {
+            *o = !(seed_tp[w] | seed_fp[w]);
+        }
+        let mut members = vec![i];
+        for j in i + 1..ranked.len() {
+            if members.len() >= cfg.max_set_size {
                 break;
             }
             greedy_evals.inc();
-            let col = &columns[*cj];
-            let (mut tp, mut fp, mut fnn) = (res_tp, res_fp, 0i64);
-            for &hi in &unresolved {
-                match col[hi] {
-                    Some(Outcome::TruePositive(_)) => tp += 1,
-                    Some(Outcome::FalsePositive(_)) => fp += 1,
-                    _ => {
-                        if hosts[hi].has_apparent() {
-                            fnn += 1;
-                        }
-                    }
-                }
+            let (tpb, fpb) = bits_of(j);
+            // What the candidate claims among the open hosts; each
+            // apparent host it claims is one FN fewer. The trial's ATP
+            // beats the set's exactly when those gains outweigh the FPs.
+            let (mut dtp, mut dfp, mut dfn) = (0, 0, 0);
+            for w in 0..words {
+                let (t, f) = (tpb[w] & open[w], fpb[w] & open[w]);
+                dtp += t.count_ones();
+                dfp += f.count_ones();
+                dfn += ((t | f) & apparent_bits[w]).count_ones();
             }
-            if tp - (fp + fnn) > cur_counts.atp() {
-                cur.push(r.clone());
-                for &hi in &unresolved {
-                    if col[hi].is_some() {
-                        resolved[hi] = col[hi];
-                    }
+            if dtp + dfn > dfp {
+                members.push(j);
+                for w in 0..words {
+                    open[w] &= !(tpb[w] | fpb[w]);
                 }
-                unresolved.retain(|&hi| resolved[hi].is_none());
-                cur_counts = column_counts(&resolved, hosts);
-                res_tp = i64::from(cur_counts.tp);
-                res_fp = i64::from(cur_counts.fp);
             }
         }
-        if cur.len() > 1 {
-            out.push(CandidateNc { regexes: cur, counts: cur_counts });
+        if members.len() > 1 {
+            // Each host's outcome is its first claimer's.
+            claims.clear();
+            let mut claimed = vec![0u64; words];
+            for &m in &members {
+                for &(hi, o) in hits.of(ranked[m].ri) {
+                    let (w, bit) = (hi as usize / 64, 1u64 << (hi % 64));
+                    if claimed[w] & bit == 0 {
+                        claimed[w] |= bit;
+                        claims.push((hi, o));
+                    }
+                }
+            }
+            cands.push(Cand {
+                counts: fold(&claims, hosts, apparent),
+                memorised: members.iter().map(|&m| ranked[m].memorised).sum(),
+                strength: members.iter().map(|&m| ranked[m].strength).sum(),
+                members,
+                text: None,
+            });
         }
     }
-    out
+
+    // The candidate order, text last: ties on every number compare the
+    // members' texts, newline-joined, reusing the ranking's renders.
+    sort_with_ties(&mut cands, usize::MAX, Cand::key, |run| {
+        for c in run.iter_mut() {
+            if c.text.is_none() {
+                let mut s = String::new();
+                for &m in &c.members {
+                    let r = &mut ranked[m];
+                    s.push_str(r.text.get_or_insert_with(|| pool[r.ri].to_string()));
+                    s.push('\n');
+                }
+                c.text = Some(s);
+            }
+        }
+        run.sort_by(|a, b| a.text.cmp(&b.text));
+    });
+    cands.dedup_by(|a, b| a.members == b.members);
+    cands
+        .into_iter()
+        .map(|c| CandidateNc {
+            regexes: c.members.iter().map(|&m| pool[ranked[m].ri].clone()).collect(),
+            counts: c.counts,
+        })
+        .collect()
 }
 
-/// Direct path: the pre-matrix algorithm, re-evaluating each trial set
-/// with the interpreter. Kept verbatim as the equivalence oracle.
+/// Direct path: re-evaluates each trial set in full and orders by
+/// rendered text. The equivalence oracle for [`build_sets_sparse`].
 fn build_sets_direct(pool: &[Regex], hosts: &[HostObs], cfg: &SetsConfig) -> Vec<CandidateNc> {
     let greedy_evals = &eval_counters().1;
 
-    let mut ranked: Vec<(Regex, Counts, ())> = pool
+    let mut ranked: Vec<(Regex, Counts)> = pool
         .iter()
-        .map(|r| (r.clone(), evaluate_one(r, hosts), ()))
-        .filter(|(_, c, _)| c.tp > 0)
+        .map(|r| (r.clone(), evaluate_one(r, hosts)))
+        .filter(|(_, c)| c.tp > 0)
         .collect();
-    rank_and_prune(&mut ranked, cfg);
+    // ATP, then the anti-over-fitting tie-breaks: less memorised text,
+    // then stronger components, then the textual form.
+    ranked.sort_by_cached_key(|(r, c)| {
+        (
+            Reverse(c.atp()),
+            Reverse(c.tp),
+            c.fp,
+            r.memorised_chars(),
+            Reverse(r.component_strength()),
+            r.to_string(),
+        )
+    });
+    ranked.truncate(cfg.max_pool);
+    ranked.dedup_by(|a, b| a.0 == b.0);
 
     let mut out: Vec<CandidateNc> = ranked
         .iter()
-        .map(|(r, c, _)| CandidateNc { regexes: vec![r.clone()], counts: c.clone() })
+        .map(|(r, c)| CandidateNc { regexes: vec![r.clone()], counts: c.clone() })
         .collect();
 
     // Greedy combination from each of the top `max_starts` seeds.
     for i in 0..ranked.len().min(cfg.max_starts) {
         let mut cur: Vec<Regex> = vec![ranked[i].0.clone()];
         let mut cur_counts = ranked[i].1.clone();
-        for (r, _, ()) in ranked.iter().skip(i + 1) {
+        for (r, _) in ranked.iter().skip(i + 1) {
             if cur.len() >= cfg.max_set_size {
                 break;
             }
@@ -342,59 +548,21 @@ fn build_sets_direct(pool: &[Regex], hosts: &[HostObs], cfg: &SetsConfig) -> Vec
             out.push(CandidateNc { regexes: cur, counts: cur_counts });
         }
     }
+
+    // Dedup identical conventions (two seeds can converge).
+    out.sort_by_cached_key(|c| {
+        (
+            Reverse(c.counts.atp()),
+            Reverse(c.counts.tp),
+            c.counts.fp,
+            c.regexes.len(),
+            c.regexes.iter().map(|r| r.memorised_chars()).sum::<usize>(),
+            Reverse(c.regexes.iter().map(|r| r.component_strength()).sum::<usize>()),
+            c.regexes.iter().map(|r| format!("{r}\n")).collect::<String>(),
+        )
+    });
+    out.dedup_by(|a, b| a.regexes == b.regexes);
     out
-}
-
-/// Folds a first-match-wins outcome column into `Counts`, filling
-/// unresolved hosts with their negative outcome (FN/TN).
-///
-/// The unique-value sets are bulk-built (collect, sort, dedup) rather
-/// than inserted per host: one column fold per pooled regex is the
-/// inner loop of ranking, and per-record `BTreeSet` inserts dominated
-/// it. Set contents are identical either way.
-fn column_counts(col: &[Option<Outcome>], hosts: &[HostObs]) -> Counts {
-    let mut c = Counts::default();
-    let mut tp_asns: Vec<u32> = Vec::new();
-    let mut extracted: Vec<u32> = Vec::new();
-    for (hi, h) in hosts.iter().enumerate() {
-        match col[hi].unwrap_or_else(|| negative_outcome(h)) {
-            Outcome::TruePositive(v) => {
-                c.tp += 1;
-                tp_asns.push(h.training_asn);
-                extracted.push(v);
-            }
-            Outcome::FalsePositive(v) => {
-                c.fp += 1;
-                extracted.push(v);
-            }
-            Outcome::FalseNegative => c.fnn += 1,
-            Outcome::TrueNegative => c.tn += 1,
-        }
-    }
-    tp_asns.sort_unstable();
-    tp_asns.dedup();
-    extracted.sort_unstable();
-    extracted.dedup();
-    c.unique_tp_asns = tp_asns;
-    c.unique_extracted = extracted;
-    c
-}
-
-fn memorised(regexes: &[Regex]) -> usize {
-    regexes.iter().map(|r| r.memorised_chars()).sum()
-}
-
-fn strength(regexes: &[Regex]) -> usize {
-    regexes.iter().map(|r| r.component_strength()).sum()
-}
-
-fn key(regexes: &[Regex]) -> String {
-    let mut s = String::new();
-    for r in regexes {
-        s.push_str(&r.to_string());
-        s.push('\n');
-    }
-    s
 }
 
 #[cfg(test)]

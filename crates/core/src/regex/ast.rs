@@ -306,11 +306,8 @@ fn escape_lit(s: &str, out: &mut String) {
     }
 }
 
-/// Renders elements in the dialect's concrete syntax. Shared by
-/// [`Regex`]'s `Display` and the merge phase's skeleton keys, which
-/// splice a hole marker between two rendered halves and rely on the
-/// output matching `Display` byte for byte.
-pub(crate) fn render_elems(elems: &[Elem], s: &mut String) {
+/// Renders elements in the dialect's concrete syntax.
+fn render_elems(elems: &[Elem], s: &mut String) {
     for e in elems {
         match e {
             Elem::StartAnchor => s.push('^'),

@@ -15,10 +15,16 @@
 //! * the wildcard `.+` (at most one per regex by construction);
 //! * string alternations `(?:p|s)` and optional alternations `(?:p|s)?`.
 //!
-//! The engine is a plain backtracking matcher over the element AST —
-//! hostnames are short (rarely beyond 80 bytes) and the dialect has no
-//! nested repetition, so worst-case backtracking is shallow and bounded.
-//! The AST round-trips through the textual form ([`Regex::parse`] /
+//! The engine is a backtracking matcher over the element AST. The
+//! dialect has no nested repetition, yet adjacent variable-width
+//! components still backtrack combinatorially: the worst case grows
+//! steeply with each such component, and no bound is enforced. A
+//! 253-byte name (the DNS maximum, `"1-"`×126 + `"ax"`) against `^`,
+//! five `[a-z\d-]+-` components and `(\d+)x$` took 7.3 s on a 2-vCPU
+//! host (four components: 355 ms). Model artifacts and hostnames both
+//! reach the matcher from outside; ROADMAP.md's "A proven worst case
+//! for every untrusted input" tracks the missing bound. The AST
+//! round-trips through the textual form ([`Regex::parse`] /
 //! `Display`), which the property tests pin down.
 
 //!
@@ -37,7 +43,6 @@ mod matcher;
 mod multi;
 mod parse;
 
-pub(crate) use ast::render_elems;
 pub use ast::{AltGroup, CharClass, Elem, Regex};
 pub use compiled::CompiledRegex;
 pub use matcher::MatchResult;

@@ -4,15 +4,20 @@
 //!   `evaluate_compiled`, `regex_hit`) against the interpreter on
 //!   corpora that exercise every §3.1 rule — typo congruence,
 //!   embedded-IP overlap, oversized digit runs;
-//! * `learn_all` with the outcome matrix on vs off: identical
+//! * `learn_all` with the sparse-hit path on vs off: identical
 //!   `LearnedConvention`s on a fixed-seed synthetic Internet, and a
-//!   fixed-seed determinism check on the default (matrix) path.
+//!   fixed-seed determinism check on the default path;
+//! * the text round trip of every regex the learner pools, which makes
+//!   keying by elements agree with keying by rendered text.
 
 use hoiho::eval::{
     classify_host, classify_host_compiled, classify_host_interpreted, evaluate, evaluate_compiled,
     evaluate_interpreted, regex_hit,
 };
 use hoiho::learner::{learn_all, LearnConfig, LearnedConvention};
+use hoiho::phases::base;
+use hoiho::phases::classes::embed_classes;
+use hoiho::phases::merge::merge;
 use hoiho::regex::{CompiledRegex, Regex};
 use hoiho::training::{HostObs, Observation, TrainingSet};
 use hoiho_psl::PublicSuffixList;
@@ -185,4 +190,29 @@ fn learn_all_matrix_path_is_deterministic() {
     let a = learn_all(&groups, &cfg);
     let b = learn_all(&groups, &cfg);
     assert_identical(&a, &b);
+}
+
+/// The learner keys merge skeletons and dedups its pools by element
+/// sequence, and orders by rendered text; the two agree only while
+/// rendering is injective on everything it pools. It is, because
+/// adjacent literals are coalesced and no digit-only class is produced
+/// (`\d+` always parses back as digits): every base, merged and
+/// classed regex of the fixed-seed sim parses back to itself.
+#[test]
+fn learner_pools_round_trip_through_text() {
+    let cfg = LearnConfig::default();
+    let mut checked = 0usize;
+    for st in sim_groups(42) {
+        let base = base::generate(&st, &cfg.base);
+        let merged = merge(&base);
+        let mut pool = base.clone();
+        pool.extend(merged.iter().cloned());
+        let classed = embed_classes(&pool, &st.hosts);
+        for r in base.iter().chain(&merged).chain(&classed) {
+            let text = r.to_string();
+            assert_eq!(Regex::parse(&text).ok().as_ref(), Some(r), "{text} does not round-trip");
+            checked += 1;
+        }
+    }
+    assert!(checked > 100, "the sim must pool a real workload, got {checked} regexes");
 }

@@ -9,7 +9,9 @@
 #      the multi-matcher equivalence gate by name: fixed-seed
 #      `learn_all` output must be byte-identical
 #      with Aho–Corasick literal dispatch on (default) and off (the
-#      per-regex column build kept as the oracle).
+#      per-regex hit collection kept as the oracle), then the learner
+#      allocation gate by name: one `learn_suffix` call on fixed data
+#      stays within its committed allocation budget.
 #   4. A live smoke test of the serving subsystem: learn a model from a
 #      simulated snapshot, serve it over TCP, drive one query + STATS,
 #      and shut down cleanly.
@@ -71,6 +73,15 @@ cargo test -q --offline -p hoiho --test compiled_equiv \
     | grep -q "1 passed" \
     || { echo "tier1: multi-matcher equivalence gate did not run/pass" >&2; exit 1; }
 echo "tier1: multi-matcher on/off equivalence gate OK"
+
+# --- learner work-count gate: allocations of one learn_suffix call on
+# the Figure 4 data and a 400-host suffix are deterministic, so they
+# gate hard where timings cannot; by name, like the gate above ---
+cargo test -q --offline --test alloc_free \
+    learn_suffix_allocations_stay_within_budget -- --exact \
+    | grep -q "1 passed" \
+    || { echo "tier1: learner allocation gate did not run/pass" >&2; exit 1; }
+echo "tier1: learner allocation gate OK"
 
 # --- fuzz tier smoke: corpus replay + a short fixed-seed run ---
 FUZZ=target/release/hoiho-fuzz

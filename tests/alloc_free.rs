@@ -1,12 +1,20 @@
-//! Allocation gate for the serving lookup path: a counting global
-//! allocator asserts that every layer a query crosses — PSL dispatch,
-//! the engine, answer building and a router cache hit — allocates
-//! nothing per call. Counts are deterministic, so unlike timings they
-//! gate hard on a noisy host.
+//! Allocation gates, read from a per-thread counting global allocator:
+//!
+//! * the serving lookup path: every layer a query crosses — PSL
+//!   dispatch, the engine, answer building and a router cache hit —
+//!   allocates nothing per call;
+//! * the learner: one `learn_suffix` call on the Figure 4 data and on a
+//!   400-hostname synthetic suffix stays within a fixed allocation
+//!   budget, the deterministic work count behind the learner's speed.
+//!
+//! Counts are deterministic, so unlike timings they gate hard on a
+//! noisy host.
 
 use hoiho::classify::NcClass;
+use hoiho::learner::{learn_suffix, LearnConfig};
 use hoiho::regex::Regex;
 use hoiho::taxonomy::Taxonomy;
+use hoiho::training::{Observation, SuffixTraining};
 use hoiho_cluster::ShardRouter;
 use hoiho_obs::Registry;
 use hoiho_psl::PublicSuffixList;
@@ -158,4 +166,76 @@ fn router_cache_hit_allocates_nothing() {
     }
     let stats = router.cache_stats();
     assert_eq!(stats.misses, HOSTS.len() as u64, "every repeat must hit the cache");
+}
+
+/// The Figure 4 Equinix training data (as in the learning bench).
+fn figure4() -> SuffixTraining {
+    let rows: &[(u32, &str)] = &[
+        (109, "109.sgw.equinix.com"),
+        (714, "714.os.equinix.com"),
+        (714, "714.me1.equinix.com"),
+        (714, "p714.sgw.equinix.com"),
+        (714, "s714.sgw.equinix.com"),
+        (24115, "p24115.mel.equinix.com"),
+        (24115, "s24115.tyo.equinix.com"),
+        (22282, "22822-2.tyo.equinix.com"),
+        (24482, "24482-fr5-ix.equinix.com"),
+        (54827, "54827-dc5-ix2.equinix.com"),
+        (55247, "55247-ch3-ix.equinix.com"),
+        (2906, "netflix.zh2.corp.eu.equinix.com"),
+        (19324, "ipv4.dosarrest.eqix.equinix.com"),
+        (8075, "8069.tyo.equinix.com"),
+        (8075, "8074.hkg.equinix.com"),
+        (55923, "45437-sy1-ix.equinix.com"),
+    ];
+    let obs: Vec<Observation> =
+        rows.iter().map(|&(a, h)| Observation::new(h, [198, 51, 100, 9], a)).collect();
+    SuffixTraining::build("equinix.com", &obs)
+}
+
+/// The learning bench's `as<asn>-<iface>.<pop>.bigco.net` suffix, large
+/// enough that the sets and classes phases take the literal-dispatch
+/// path.
+fn big_suffix(hostnames: usize) -> SuffixTraining {
+    let pops = ["fra", "lhr", "ams", "nyc", "sin"];
+    let ifaces = ["ae1", "xe-0-0-1", "te0-7", "ge2-0"];
+    let obs: Vec<Observation> = (0..hostnames)
+        .map(|i| {
+            let asn = 60000 + (i as u32 % 700);
+            let h = format!(
+                "as{asn}-{}.{}{}.bigco.net",
+                ifaces[i % ifaces.len()],
+                pops[i % pops.len()],
+                i % 3
+            );
+            Observation::new(&h, [192, 0, 2, (i % 250) as u8], asn)
+        })
+        .collect();
+    SuffixTraining::build("bigco.net", &obs)
+}
+
+/// Allocations one `learn_suffix` call makes on this thread, after one
+/// warm-up call (which registers the learner's process-global
+/// counters).
+fn learn_allocs(st: &SuffixTraining) -> u64 {
+    let cfg = LearnConfig::default();
+    assert!(learn_suffix(st, &cfg).is_some(), "{} must learn a convention", st.suffix);
+    let before = THREAD_ALLOCS.with(Cell::get);
+    black_box(learn_suffix(black_box(st), &cfg));
+    THREAD_ALLOCS.with(Cell::get) - before
+}
+
+/// The learner keys, dedups and scores regexes by their elements and
+/// keeps sparse hits, so one suffix costs a fixed number of
+/// allocations. The budgets are this design's counts; rendering every
+/// pooled regex to text, as the learner once did, blows both.
+#[test]
+fn learn_suffix_allocations_stay_within_budget() {
+    const FIGURE4_BUDGET: u64 = 2_450;
+    const BIG_SUFFIX_BUDGET: u64 = 14_800;
+    let figure4 = learn_allocs(&figure4());
+    let big = learn_allocs(&big_suffix(400));
+    eprintln!("learn_suffix allocations: figure4 {figure4}, big_suffix(400) {big}");
+    assert!(figure4 <= FIGURE4_BUDGET, "Figure 4: {figure4} allocations > {FIGURE4_BUDGET}");
+    assert!(big <= BIG_SUFFIX_BUDGET, "big_suffix(400): {big} allocations > {BIG_SUFFIX_BUDGET}");
 }
