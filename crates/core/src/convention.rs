@@ -6,7 +6,7 @@
 //! followed by indented regexes) so learned sets can be published and
 //! reloaded, mirroring the paper's released data supplement.
 
-use crate::regex::{CompiledRegex, Regex};
+use crate::regex::Regex;
 use std::fmt;
 
 /// A learned naming convention for one suffix.
@@ -55,16 +55,6 @@ impl NamingConvention {
         self.regexes.iter().any(|r| r.is_match(&lower))
     }
 
-    /// Lowers the convention into compiled matcher programs for hot
-    /// paths: compile once (e.g. at model load), extract per query.
-    /// Extraction semantics are identical to [`NamingConvention::extract`].
-    pub fn compile(&self) -> CompiledConvention {
-        CompiledConvention {
-            suffix: self.suffix.clone(),
-            programs: self.regexes.iter().map(CompiledRegex::compile).collect(),
-        }
-    }
-
     /// Parses the text form produced by `Display`: a suffix line followed
     /// by one indented regex per line. Blank lines and `#` comments are
     /// ignored. Multiple conventions can be concatenated; see
@@ -85,43 +75,6 @@ impl fmt::Display for NamingConvention {
             writeln!(f, "  {r}")?;
         }
         Ok(())
-    }
-}
-
-/// A [`NamingConvention`] lowered to compiled matcher programs — what
-/// the serving tier runs per query after compiling once at model load.
-#[derive(Debug, Clone)]
-pub struct CompiledConvention {
-    suffix: String,
-    programs: Vec<CompiledRegex>,
-}
-
-impl CompiledConvention {
-    /// The registrable-domain suffix this convention applies to.
-    pub fn suffix(&self) -> &str {
-        &self.suffix
-    }
-
-    /// [`NamingConvention::extract`] over the compiled programs.
-    pub fn extract(&self, hostname: &str) -> Option<u32> {
-        self.extract_lower(&hostname.to_ascii_lowercase())
-    }
-
-    /// Like [`CompiledConvention::extract`], but assumes `lower` is
-    /// already lowercased — the serving tier lowercases once per query.
-    pub fn extract_lower(&self, lower: &str) -> Option<u32> {
-        for p in &self.programs {
-            if let Some(digits) = p.extract(lower) {
-                return digits.parse::<u32>().ok();
-            }
-        }
-        None
-    }
-
-    /// True if any program in the convention matches `hostname`.
-    pub fn matches(&self, hostname: &str) -> bool {
-        let lower = hostname.to_ascii_lowercase();
-        self.programs.iter().any(|p| p.is_match(&lower))
     }
 }
 
@@ -208,24 +161,6 @@ nts.ch
         assert!(parse_conventions("x.com\n").is_err()); // suffix without regexes
         assert!(parse_conventions("x.com\n  ((\n").is_err()); // bad regex
         assert!(NamingConvention::parse_block("a.com\n  (\\d+)x$\nb.com\n  (\\d+)y$\n").is_err());
-    }
-
-    #[test]
-    fn compiled_convention_matches_interpreter() {
-        let c = nc();
-        let cc = c.compile();
-        assert_eq!(cc.suffix(), "equinix.com");
-        for h in [
-            "p714.sgw.equinix.com",
-            "24482-fr5-ix.equinix.com",
-            "netflix.zh2.corp.eu.equinix.com",
-            "S714.SGW.EQUINIX.COM",
-            "",
-        ] {
-            assert_eq!(cc.extract(h), c.extract(h), "{h:?}");
-            assert_eq!(cc.matches(h), c.matches(h), "{h:?}");
-            assert_eq!(cc.extract_lower(&h.to_ascii_lowercase()), c.extract(h), "{h:?}");
-        }
     }
 
     #[test]

@@ -181,31 +181,16 @@ pub fn classify_host_interpreted(regexes: &[Regex], host: &HostObs) -> Outcome {
     negative_outcome(host)
 }
 
-/// [`classify_host`] over compiled programs.
-pub fn classify_host_compiled(programs: &[CompiledRegex], host: &HostObs) -> Outcome {
-    for p in programs {
-        let Some(cap) = p.match_capture(&host.hostname) else { continue };
-        if let Some((s, e)) = cap {
-            return classify_capture(host, s, e);
-        }
-    }
-    negative_outcome(host)
-}
-
-/// The per-regex "column cell" of the learner's outcome matrix: `Some`
-/// exactly when `program` would decide this host's outcome in a set
-/// (matched with a capture), `None` when the set falls through.
-pub fn regex_hit(program: &CompiledRegex, host: &HostObs) -> Option<Outcome> {
-    let (s, e) = program.match_capture(&host.hostname)??;
-    Some(classify_capture(host, s, e))
-}
-
-/// [`regex_hit`] with a caller-held one-entry span cache. Pools of
+/// One regex's *hit* on one host, as the learner's set building keeps
+/// it: `Some` exactly when `program` would decide this host's outcome in
+/// a set (matched with a capture), `None` when the set falls through.
+///
+/// `cache` is a caller-held one-entry span cache for this host. Pools of
 /// sibling regexes overwhelmingly extract the *same* span from a given
 /// host, and classification (digit parse, IP-overlap, congruence)
 /// depends only on the span — so a caller evaluating many programs
-/// against one host can reuse the previous outcome whenever the span
-/// repeats. Reset the cache (or pass a fresh `None`) per host.
+/// against one host reuses the previous outcome whenever the span
+/// repeats. Keep one cache per host (a fresh `None` to start).
 pub fn regex_hit_cached(
     program: &CompiledRegex,
     host: &HostObs,
@@ -238,20 +223,6 @@ pub fn evaluate_interpreted(regexes: &[Regex], hosts: &[HostObs]) -> Counts {
         c.record(h, classify_host_interpreted(regexes, h));
     }
     c
-}
-
-/// [`evaluate`] over compiled programs.
-pub fn evaluate_compiled(programs: &[CompiledRegex], hosts: &[HostObs]) -> Counts {
-    let mut c = Counts::default();
-    for h in hosts {
-        c.record(h, classify_host_compiled(programs, h));
-    }
-    c
-}
-
-/// Evaluates a single regex over a hostname set.
-pub fn evaluate_one(regex: &Regex, hosts: &[HostObs]) -> Counts {
-    evaluate(std::slice::from_ref(regex), hosts)
 }
 
 #[cfg(test)]

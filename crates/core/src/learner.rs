@@ -117,7 +117,8 @@ pub fn learn_suffix_traced(
     };
     let candidates = {
         // The sets span also records the workload size, so `--trace`
-        // output shows what the outcome matrix amortised.
+        // output shows how many (regex, host) pairs the screen let
+        // through.
         let pool_size = pool.len().to_string();
         let host_count = st.hosts.len().to_string();
         let mut _s = tracer.map(|t| {
@@ -345,8 +346,8 @@ mod tests {
         let groups = ts.by_suffix(&PublicSuffixList::builtin());
         let clock = Arc::new(ManualClock::new());
         let tracer = Tracer::with_clock(clock);
-        let learned =
-            learn_all_traced(&groups, &LearnConfig::default(), Some(&tracer));
+        let cfg = LearnConfig::default();
+        let learned = learn_all_traced(&groups, &cfg, Some(&tracer));
         assert_eq!(learned.len(), 2);
         let spans = tracer.records();
         for suffix in ["example.com", "zzz-example.net"] {
@@ -367,10 +368,13 @@ mod tests {
             assert!(s.args.iter().any(|(k, v)| k == "hosts" && v.parse::<usize>().is_ok()));
             assert!(s.args.iter().any(|(k, v)| k == "dispatched" && v.parse::<u64>().is_ok()));
         }
-        // Untraced runs stay untraced.
-        let silent = Tracer::new();
-        learn_all_traced(&groups, &LearnConfig::default(), None);
-        assert!(silent.is_empty());
+        // Tracing observes the run without changing its answers.
+        let untraced = learn_all_traced(&groups, &cfg, None);
+        assert_eq!(untraced.len(), learned.len());
+        for (u, t) in untraced.iter().zip(&learned) {
+            assert_eq!(u.convention, t.convention);
+            assert_eq!(u.counts, t.counts);
+        }
     }
 
     #[test]

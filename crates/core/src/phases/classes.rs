@@ -15,58 +15,34 @@
 //!   under `.+`), the component is left alone.
 //!
 //! The specialised regex is added to the pool; the original stays.
+//!
+//! Each regex traces only the hosts the candidate screen
+//! (`regex::multi::screen`) hands it. A host left out cannot match the
+//! regex, so it would contribute no substring, and the specialised
+//! output is identical to tracing every pair.
 
-use crate::regex::{CharClass, CompiledRegex, Elem, MultiMatcher, Regex};
+use crate::regex::{screen, CharClass, CompiledRegex, Elem, Regex};
 use crate::training::HostObs;
 
 /// Maximum run-sequence length worth emitting; longer sequences are
 /// almost certainly over-fitted to a handful of hostnames.
 const MAX_SEQUENCE: usize = 4;
 
-/// Smallest matrix (`pool × hosts` cells) worth an automaton: below
-/// this the [`MultiMatcher`] build costs more than the traces it
-/// skips, so every pair is traced directly.
-const DISPATCH_MIN_CELLS: usize = 4096;
-
 /// Specialises each regex in `pool` against the matched hostnames.
 /// Returns only the newly created regexes.
 pub fn embed_classes(pool: &[Regex], hosts: &[HostObs]) -> Vec<Regex> {
-    let mut out = if pool.len() * hosts.len() >= DISPATCH_MIN_CELLS {
-        embed_dispatch(pool, hosts)
-    } else {
-        pool.iter()
-            .filter_map(|r| specialise_hosts(r, hosts.iter()).filter(|s| s != r))
-            .collect()
-    };
+    let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
+    let screen = screen(&programs, hosts.iter().map(|h| h.hostname.as_bytes()));
+    let mut out: Vec<Regex> = pool
+        .iter()
+        .enumerate()
+        .filter_map(|(ri, r)| {
+            let candidates = screen.hosts(ri).iter().map(|&hi| &hosts[hi as usize]);
+            specialise_hosts(r, candidates).filter(|s| s != r)
+        })
+        .collect();
     out.sort_by_cached_key(|r| r.to_string());
     out.dedup();
-    out
-}
-
-/// The dispatch-filtered specialisation walk: one literal-dispatch scan
-/// per host decides which regexes need to trace it at all. A host
-/// missing a regex's required literal cannot match, so skipping it
-/// leaves the collected substrings — and the specialised output —
-/// identical to tracing every pair.
-fn embed_dispatch(pool: &[Regex], hosts: &[HostObs]) -> Vec<Regex> {
-    let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
-    let matcher = MultiMatcher::build(programs.iter().copied());
-    let mut scratch = matcher.scratch();
-    let mut candidates: Vec<Vec<u32>> = vec![Vec::new(); pool.len()];
-    for (hi, h) in hosts.iter().enumerate() {
-        for &ri in matcher.dispatch(h.hostname.as_bytes(), &mut scratch) {
-            candidates[ri as usize].push(hi as u32);
-        }
-    }
-    let mut out = Vec::new();
-    for (r, cand) in pool.iter().zip(&candidates) {
-        let hs = cand.iter().map(|&hi| &hosts[hi as usize]);
-        if let Some(s) = specialise_hosts(r, hs) {
-            if &s != r {
-                out.push(s);
-            }
-        }
-    }
     out
 }
 
@@ -241,6 +217,7 @@ fn sequence_replacement(samples: &[&str]) -> Option<Vec<Elem>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regex::DISPATCH_MIN_CELLS;
     use crate::training::Observation;
 
     fn hosts(rows: &[(&str, u32)], suffix: &str) -> Vec<HostObs> {
@@ -365,40 +342,42 @@ mod tests {
         );
     }
 
-    /// The dispatch-filtered pool walk in `embed_classes` produces the
-    /// same output as specialising every regex against every host.
+    /// Above the screen's threshold, where each regex traces only the
+    /// hosts dispatch hands it, `embed_classes` produces the same output
+    /// as specialising every regex against every host.
     #[test]
     fn dispatch_filtered_embed_equals_naive_specialise() {
-        let hs = hosts(
-            &[
-                ("109.sgw.equinix.com", 109),
-                ("p714.sgw.equinix.com", 714),
-                ("100-ae1.example.com", 100),
-                ("200-xe2.example.com", 200),
-                ("605.pop7.example.com", 605),
-                ("923.lns3.example.com", 923),
-            ],
-            "example.com",
-        );
+        let rows: Vec<(String, u32)> = (0..120u32)
+            .flat_map(|i| {
+                [
+                    (format!("{}.sgw.equinix.com", 100 + i), 100 + i),
+                    (format!("p{}.sgw.equinix.com", 700 + i), 700 + i),
+                    (format!("{}-ae{}.example.com", 200 + i, i % 7), 200 + i),
+                    (format!("{}-xe{}.example.com", 300 + i, i % 5), 300 + i),
+                    (format!("{}.pop{}.example.com", 600 + i, i % 9), 600 + i),
+                    (format!("{}.lns{}.example.com", 900 + i, i % 4), 900 + i),
+                ]
+            })
+            .collect();
+        let rows: Vec<(&str, u32)> = rows.iter().map(|(h, a)| (h.as_str(), *a)).collect();
+        let hs = hosts(&rows, "example.com");
         let pool = vec![
             rx(r"^(?:p|s)?(\d+)\.[^\.]+\.equinix\.com$"),
             rx(r"^(\d+)-.+\.example\.com$"),
             rx(r"^(\d+)\.[^\.]+\.example\.com$"),
+            rx(r"^(\d+)\.[^\.]+\.[^\.]+\.com$"),
             rx(r"(\d+)-[^\.]+"), // literal-free: rides the fallback bucket
+            rx(r"^[^\.]+\.[^\.]+\.(\d+)\.com$"), // matches nothing
         ];
+        let cells = pool.len() * hs.len();
+        assert!(cells >= DISPATCH_MIN_CELLS, "fixture fell below the threshold: {cells} cells");
         let mut naive: Vec<Regex> = pool
             .iter()
             .filter_map(|r| specialise(r, &hs).filter(|s| s != r))
             .collect();
         naive.sort_by_key(|r| r.to_string());
         naive.dedup();
-        // `embed_dispatch` directly: the fixture sits far below
-        // `DISPATCH_MIN_CELLS`, where `embed_classes` takes the naive
-        // path itself and the comparison would test nothing.
-        let mut dispatched = embed_dispatch(&pool, &hs);
-        dispatched.sort_by_cached_key(|r| r.to_string());
-        dispatched.dedup();
-        assert_eq!(dispatched, naive);
+        assert!(naive.len() >= 3, "the fixture must specialise something: {naive:?}");
         assert_eq!(embed_classes(&pool, &hs), naive);
     }
 

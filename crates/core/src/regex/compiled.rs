@@ -349,7 +349,7 @@ impl CompiledRegex {
     /// `None` when the program does not match, `Some(None)` on a
     /// captureless match, `Some(Some((s, e)))` otherwise — exactly
     /// `find(..).map(|m| m.captures.first().copied())`. This is the
-    /// learner's outcome-matrix cell primitive.
+    /// primitive behind the learner's per-(regex, host) hits.
     pub fn match_capture(&self, hostname: &str) -> Option<Option<(usize, usize)>> {
         let mut sink = FirstCapSink::default();
         self.find_impl(hostname, &mut sink)?;
@@ -533,13 +533,6 @@ impl Sink for FirstCapSink {
     }
     fn truncate(&mut self, mark: usize) {
         self.len = mark;
-    }
-}
-
-impl Regex {
-    /// Lowers this regex into its compiled form (see [`CompiledRegex`]).
-    pub fn compiled(&self) -> CompiledRegex {
-        CompiledRegex::compile(self)
     }
 }
 

@@ -35,7 +35,9 @@
 //! a whole *pool* of compiled programs is evaluated against shared
 //! hostnames, a [`MultiMatcher`] (an Aho–Corasick automaton over every
 //! program's required literals) scans each hostname once and dispatches
-//! only to the programs that could possibly match it.
+//! only to the programs that could possibly match it; the learner's
+//! candidate screen decides per pool whether the automaton pays for
+//! itself.
 
 mod ast;
 mod compiled;
@@ -46,7 +48,8 @@ mod parse;
 pub use ast::{AltGroup, CharClass, Elem, Regex};
 pub use compiled::CompiledRegex;
 pub use matcher::MatchResult;
-pub use multi::{DispatchScratch, MultiMatcher};
+pub(crate) use multi::screen;
+pub use multi::{DispatchScratch, MultiMatcher, DISPATCH_MIN_CELLS};
 pub use parse::ParseError;
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Multi-pattern literal dispatch: one Aho–Corasick scan per hostname
 //! decides which pool regexes are worth running at all.
 //!
-//! The learner's outcome matrix (phase 4) and class embedding (phase 3)
+//! The learner's set building (phase 4) and class embedding (phase 3)
 //! evaluate a shared pool of P candidate regexes against a shared set of
 //! H hostnames. Even with compiled programs that is O(P·H) independent
 //! scans, and the per-program literal prefilter cannot amortise anything
@@ -11,6 +11,17 @@
 //! links flattened into a dense goto-complete transition table — and
 //! then a single left-to-right scan of one hostname reports which
 //! programs still have a chance of matching it.
+//!
+//! ## The candidate screen
+//!
+//! Both learner phases ask one question — per program, which hosts can
+//! match it? — and get the answer from [`screen`]. Below
+//! [`DISPATCH_MIN_CELLS`] `programs × hosts` cells the automaton costs
+//! more to build than the evaluations it would skip, so every host is a
+//! candidate; at or above it, the candidates are the hosts
+//! [`MultiMatcher::dispatch`] hands the program. Either way a host left
+//! out cannot match, so a caller that evaluates only the candidates gets
+//! exactly the answers of evaluating every pair.
 //!
 //! ## Dispatch rule
 //!
@@ -58,6 +69,89 @@
 
 use super::compiled::CompiledRegex;
 use std::collections::HashMap;
+
+/// Smallest `programs × hosts` product the learner's candidate screen
+/// builds a [`MultiMatcher`] for: below it the build costs more than
+/// the evaluations it skips, so every host stays a candidate.
+pub const DISPATCH_MIN_CELLS: usize = 4096;
+
+/// What [`screen`] returns: per program, the hosts that can match it,
+/// as indices in host order.
+#[derive(Debug)]
+pub(crate) struct Screen {
+    /// Program `p`'s candidates are `ids[starts[p]..starts[p + 1]]`.
+    /// `None` below [`DISPATCH_MIN_CELLS`], where `ids` is every host
+    /// and each program's candidates are all of it.
+    starts: Option<Vec<u32>>,
+    ids: Vec<u32>,
+    /// `programs × hosts`.
+    cells: u64,
+}
+
+impl Screen {
+    /// The hosts program `program` can match, ascending.
+    pub fn hosts(&self, program: usize) -> &[u32] {
+        match &self.starts {
+            Some(starts) => &self.ids[starts[program] as usize..starts[program + 1] as usize],
+            None => &self.ids,
+        }
+    }
+
+    /// (program, host) pairs handed out: the evaluations a caller of
+    /// [`Screen::hosts`] runs.
+    pub fn dispatched(&self) -> u64 {
+        match self.starts {
+            Some(_) => self.ids.len() as u64,
+            None => self.cells,
+        }
+    }
+
+    /// (program, host) pairs left out: each is provably no match.
+    pub fn skipped(&self) -> u64 {
+        self.cells - self.dispatched()
+    }
+}
+
+/// Screens every (program, host) pair of a pool: for each program, the
+/// hosts that can match it, in host order. Below [`DISPATCH_MIN_CELLS`]
+/// cells that is every host; at or above it, the hosts a
+/// [`MultiMatcher`] over `programs` dispatches the program to.
+pub(crate) fn screen<'h>(
+    programs: &[&CompiledRegex],
+    hosts: impl ExactSizeIterator<Item = &'h [u8]>,
+) -> Screen {
+    let cells = programs.len() * hosts.len();
+    if cells < DISPATCH_MIN_CELLS {
+        let ids = (0..hosts.len() as u32).collect();
+        return Screen { starts: None, ids, cells: cells as u64 };
+    }
+    let matcher = MultiMatcher::build(programs.iter().copied());
+    let mut scratch = matcher.scratch();
+    // Dispatch arrives host by host as (program, host) pairs; a counting
+    // sort by program keeps each program's hosts in host order.
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for (hi, host) in hosts.enumerate() {
+        for &p in matcher.dispatch(host, &mut scratch) {
+            pairs.push((p, hi as u32));
+        }
+    }
+    // `starts[p]` counts up to the end of program `p`'s run, then the
+    // reverse placement walks it back down to the run's start.
+    let mut starts = vec![0u32; programs.len() + 1];
+    for &(p, _) in &pairs {
+        starts[p as usize] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    let mut ids = vec![0u32; pairs.len()];
+    for &(p, hi) in pairs.iter().rev() {
+        let at = &mut starts[p as usize];
+        *at -= 1;
+        ids[*at as usize] = hi;
+    }
+    Screen { starts: Some(starts), ids, cells: cells as u64 }
+}
 
 /// An Aho–Corasick automaton over the required literals of a regex
 /// pool, answering "which pool members could match this hostname?" in
@@ -418,7 +512,78 @@ mod tests {
     use super::*;
 
     fn programs(patterns: &[&str]) -> Vec<CompiledRegex> {
-        patterns.iter().map(|p| Regex::parse(p).unwrap().compiled()).collect()
+        patterns.iter().map(|p| CompiledRegex::compile(&Regex::parse(p).unwrap())).collect()
+    }
+
+    /// Screens `patterns` over `hosts`, asserting the screen hands out
+    /// every matching (program, host) pair, each program's hosts
+    /// ascending, and that its counts add up.
+    fn assert_screen_keeps_matches(patterns: &[&str], hosts: &[String]) -> Screen {
+        let progs = programs(patterns);
+        let refs: Vec<&CompiledRegex> = progs.iter().collect();
+        let s = screen(&refs, hosts.iter().map(|h| h.as_bytes()));
+        let mut handed_out = 0;
+        for (p, prog) in progs.iter().enumerate() {
+            let cands = s.hosts(p);
+            assert!(cands.windows(2).all(|w| w[0] < w[1]), "{:?}: not in host order", patterns[p]);
+            for (hi, h) in hosts.iter().enumerate() {
+                if prog.is_match(h) {
+                    assert!(
+                        cands.binary_search(&(hi as u32)).is_ok(),
+                        "{:?} matches {h:?} but the screen left it out",
+                        patterns[p]
+                    );
+                }
+            }
+            handed_out += cands.len() as u64;
+        }
+        assert_eq!(s.dispatched(), handed_out);
+        assert_eq!(s.dispatched() + s.skipped(), (progs.len() * hosts.len()) as u64);
+        s
+    }
+
+    const SCREEN_PATTERNS: [&str; 6] = [
+        r"^as(\d+)-[a-z]+\d+\.[a-z]+\.bigco\.net$",
+        r"^as(\d+)-xe-\d+-\d+-\d+\.[a-z]+\d+\.bigco\.net$",
+        r"(\d+)\.sgw\.equinix\.com$",
+        r"^(\d+)-.+\.equinix\.com$",
+        r"as(\d+)\.nts\.ch$",
+        r"(\d+)", // literal-free: the fallback bucket
+    ];
+
+    /// `n` hostnames cycling through five shapes: four carry the
+    /// literals of some [`SCREEN_PATTERNS`] entry, one carries none.
+    fn screen_hosts(n: usize) -> Vec<String> {
+        let ifaces = ["ae1", "xe-0-0-1", "te0-7"];
+        (0..n)
+            .map(|i| match i % 5 {
+                0 => format!("as{}-{}.fra{}.bigco.net", 60000 + i, ifaces[i % 3], i % 3),
+                1 => format!("{}.sgw.equinix.com", 700 + i),
+                2 => format!("{}-fr5-ix.equinix.com", 24000 + i),
+                3 => format!("as{}.nts.ch", 15000 + i),
+                _ => format!("core{i}.example.org"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn screen_below_threshold_hands_out_every_pair() {
+        let hosts = screen_hosts(40);
+        let cells = SCREEN_PATTERNS.len() * hosts.len();
+        assert!(cells < DISPATCH_MIN_CELLS, "fixture crossed the threshold: {cells} cells");
+        let s = assert_screen_keeps_matches(&SCREEN_PATTERNS, &hosts);
+        assert_eq!(s.dispatched(), cells as u64);
+    }
+
+    #[test]
+    fn screen_above_threshold_dispatches_a_strict_subset() {
+        let hosts = screen_hosts(700);
+        let cells = SCREEN_PATTERNS.len() * hosts.len();
+        assert!(cells >= DISPATCH_MIN_CELLS, "fixture fell below the threshold: {cells} cells");
+        let s = assert_screen_keeps_matches(&SCREEN_PATTERNS, &hosts);
+        assert!(s.dispatched() < cells as u64, "dispatch skipped nothing");
+        // The literal-free program rides the fallback bucket: every host.
+        assert_eq!(s.hosts(SCREEN_PATTERNS.len() - 1).len(), hosts.len());
     }
 
     /// Brute-force oracle: dispatch must include every program that

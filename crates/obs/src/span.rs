@@ -740,16 +740,18 @@ pub fn to_chrome_json(spans: &[ReqSpan]) -> String {
     out
 }
 
-/// Builds, per span, the `;`-joined frame stack from the root down
-/// (following parent links within its trace), plus the span's
-/// self-time (duration minus direct children).
-fn stacks_and_self(spans: &[ReqSpan]) -> Vec<(String, u64)> {
-    // Index spans per trace.
+/// The one self-time walk: calls `f(tree, span, self_ns)` for every
+/// span, with its trace indexed by span id and its self time (duration
+/// minus its direct children's). The collapsed stacks and the per-layer
+/// totals both derive from it.
+fn for_each_self_time<'a>(
+    spans: &'a [ReqSpan],
+    mut f: impl FnMut(&BTreeMap<u32, &'a ReqSpan>, &'a ReqSpan, u64),
+) {
     let mut by_trace: BTreeMap<u64, BTreeMap<u32, &ReqSpan>> = BTreeMap::new();
     for s in spans {
         by_trace.entry(s.trace).or_default().insert(s.id, s);
     }
-    let mut out = Vec::with_capacity(spans.len());
     for tree in by_trace.values() {
         let mut child_ns: BTreeMap<u32, u64> = BTreeMap::new();
         for s in tree.values() {
@@ -758,28 +760,33 @@ fn stacks_and_self(spans: &[ReqSpan]) -> Vec<(String, u64)> {
             }
         }
         for s in tree.values() {
-            let mut frames = vec![s.frame()];
-            let mut cur = s.parent;
-            // Parent chains are one trace deep (≤ SPAN_BUDGET); the
-            // visited cap just guards against a corrupted ring record.
-            let mut hops = 0;
-            while cur != NO_PARENT && hops < SPAN_BUDGET {
-                match tree.get(&cur) {
-                    Some(p) => {
-                        frames.push(p.frame());
-                        cur = p.parent;
-                    }
-                    None => break,
-                }
-                hops += 1;
-            }
-            frames.reverse();
             let self_ns =
                 s.duration_ns().saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
-            out.push((frames.join(";"), self_ns));
+            f(tree, s, self_ns);
         }
     }
-    out
+}
+
+/// The `;`-joined frame stack of `s` from its root down, following
+/// parent links within its trace.
+fn stack(tree: &BTreeMap<u32, &ReqSpan>, s: &ReqSpan) -> String {
+    let mut frames = vec![s.frame()];
+    let mut cur = s.parent;
+    // Parent chains are one trace deep (≤ SPAN_BUDGET); the hop cap
+    // just guards against a corrupted ring record.
+    let mut hops = 0;
+    while cur != NO_PARENT && hops < SPAN_BUDGET {
+        match tree.get(&cur) {
+            Some(p) => {
+                frames.push(p.frame());
+                cur = p.parent;
+            }
+            None => break,
+        }
+        hops += 1;
+    }
+    frames.reverse();
+    frames.join(";")
 }
 
 /// Renders spans as collapsed-stack text (`stack;frames self_ns` per
@@ -787,9 +794,9 @@ fn stacks_and_self(spans: &[ReqSpan]) -> Vec<(String, u64)> {
 /// inferno consume.
 pub fn to_collapsed(spans: &[ReqSpan]) -> String {
     let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-    for (stack, self_ns) in stacks_and_self(spans) {
-        *agg.entry(stack).or_default() += self_ns;
-    }
+    for_each_self_time(spans, |tree, s, self_ns| {
+        *agg.entry(stack(tree, s)).or_default() += self_ns;
+    });
     let mut out = String::new();
     for (stack, ns) in agg {
         out.push_str(&format!("{stack} {ns}\n"));
@@ -801,25 +808,7 @@ pub fn to_collapsed(spans: &[ReqSpan]) -> String {
 /// children) — the `PROFILE` exposition's span-attribution section.
 pub fn self_time_by_layer(spans: &[ReqSpan]) -> [(Layer, u64); 4] {
     let mut totals = [0u64; 4];
-    // stacks_and_self computes per-span self time; the last frame of
-    // each stack is the span's own layer.
-    let mut by_trace: BTreeMap<u64, BTreeMap<u32, &ReqSpan>> = BTreeMap::new();
-    for s in spans {
-        by_trace.entry(s.trace).or_default().insert(s.id, s);
-    }
-    for tree in by_trace.values() {
-        let mut child_ns: BTreeMap<u32, u64> = BTreeMap::new();
-        for s in tree.values() {
-            if s.parent != NO_PARENT {
-                *child_ns.entry(s.parent).or_default() += s.duration_ns();
-            }
-        }
-        for s in tree.values() {
-            let self_ns =
-                s.duration_ns().saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
-            totals[s.layer as usize] += self_ns;
-        }
-    }
+    for_each_self_time(spans, |_, s, self_ns| totals[s.layer as usize] += self_ns);
     [
         (Layer::Server, totals[0]),
         (Layer::Router, totals[1]),

@@ -6,12 +6,13 @@
 #   3. The full test suite of every workspace crate, offline (the root
 #      package's integration tests plus each crate's own unit and
 #      integration tests; `hoiho-bench` is excluded, see below), then
-#      the multi-matcher equivalence gate by name: fixed-seed
-#      `learn_all` output must be byte-identical
-#      with Aho–Corasick literal dispatch on (default) and off (the
-#      per-regex hit collection kept as the oracle), then the learner
-#      allocation gate by name: one `learn_suffix` call on fixed data
-#      stays within its committed allocation budget.
+#      the set-builder equivalence gate by name: the one production
+#      set builder must return exactly the candidates of the paper's
+#      direct algorithm (kept in the test as the reference) on learner
+#      pools either side of the candidate screen's threshold, so both
+#      every-pair evaluation and Aho–Corasick literal dispatch run,
+#      then the learner allocation gate by name: one `learn_suffix`
+#      call on fixed data stays within its committed allocation budget.
 #   4. A live smoke test of the serving subsystem: learn a model from a
 #      simulated snapshot, serve it over TCP, drive one query + STATS,
 #      and shut down cleanly.
@@ -66,13 +67,14 @@ cargo build --release --offline --workspace --examples --bins
 # mended.
 cargo test -q --offline --workspace --exclude hoiho-bench
 
-# --- multi-matcher equivalence gate: dispatch on vs off, by name, so a
-# filter typo in the suite can never silently drop it ---
+# --- set-builder equivalence gate: the production builder against the
+# reference on both sides of the screen, by name, so a filter typo in
+# the suite can never silently drop it ---
 cargo test -q --offline -p hoiho --test compiled_equiv \
-    learn_all_identical_with_multi_matcher_on_and_off -- --exact \
+    build_sets_matches_reference_builder_across_the_screen -- --exact \
     | grep -q "1 passed" \
-    || { echo "tier1: multi-matcher equivalence gate did not run/pass" >&2; exit 1; }
-echo "tier1: multi-matcher on/off equivalence gate OK"
+    || { echo "tier1: set-builder equivalence gate did not run/pass" >&2; exit 1; }
+echo "tier1: set-builder reference equivalence gate OK"
 
 # --- learner work-count gate: allocations of one learn_suffix call on
 # the Figure 4 data and a 400-host suffix are deterministic, so they
