@@ -1,12 +1,21 @@
 //! Regenerates every table and figure in the paper's evaluation.
 //!
-//! Usage: `experiments [fig5|fig6|table1|table2|sec5|overlap|all]`
+//! ```text
+//! experiments [fig5|fig6|table1|table2|sec5|overlap|sweep|asname|ablation|dump|all]
+//! ```
+//!
+//! `all` (the default) runs every experiment: Figures 5 and 6, Tables 1
+//! and 2, §5, the §4 ITDK/PeeringDB overlap, the §7 PTR sweep and
+//! AS-name census, the phase ablation, and `dump`, which writes the two
+//! 2020 convention sets to `data/`.
 //!
 //! Each experiment prints the measured series/rows next to the paper's
 //! reported values; absolute counts differ (the substrate is a synthetic
 //! Internet, not the authors' testbed) but the shapes are the claim.
+//! An unknown name exits 2 before anything is built.
 
 use hoiho::classify::NcClass;
+use hoiho::cli;
 use hoiho::learner::LearnConfig;
 use hoiho_bench::futurework::{ablation, asname_census, ptr_sweep};
 use hoiho_bench::overlap::overlap;
@@ -15,9 +24,27 @@ use hoiho_bench::taxonomy::table1;
 use hoiho_bench::validation::{run_sec5, run_table2};
 use hoiho_bench::{error_rate, pct};
 use hoiho_itdk::{timeline, Method};
+use std::process::ExitCode;
 
-fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+const EXPERIMENTS: [&str; 11] = [
+    "fig5", "fig6", "table1", "table2", "sec5", "overlap", "sweep", "asname", "ablation", "dump",
+    "all",
+];
+
+fn main() -> ExitCode {
+    let usage = format!("usage: experiments [{}]\n", EXPERIMENTS.join("|"));
+    cli::run("experiments", &usage, |args| {
+        let arg: String = args.opt_positional("<experiment>")?.unwrap_or_else(|| "all".into());
+        args.done()?;
+        if !EXPERIMENTS.contains(&arg.as_str()) {
+            return Err(args.error(format_args!("unknown experiment {arg:?}")));
+        }
+        run(&arg);
+        Ok(Ok(()))
+    })
+}
+
+fn run(arg: &str) {
     let run_all = arg == "all";
 
     // Figures 5 and 6 share the 19 timeline builds; Table 1, Table 2,

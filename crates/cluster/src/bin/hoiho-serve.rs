@@ -22,18 +22,21 @@
 //! hoiho-serve send <addr> <request...>             one protocol request, print reply
 //! hoiho-serve batch <addr> [hostname ...]          one pipelined BATCH (args or stdin),
 //!                                                  print the answer lines
-//! hoiho-serve loadgen <addr> <hosts-file> [conns] [requests] [--batch N]
+//! hoiho-serve loadgen <addr> <hosts-file> [conns] [requests]
 //!                                                  drive a server, report lookups/sec,
-//!                                                  p50/p90/p99/max latency, error rate;
-//!                                                  --batch sends N hostnames per BATCH
-//!                                                  request instead of one per line;
-//!                                                  --slo FILE evaluates the objectives
-//!                                                  against the client-side tallies and
-//!                                                  exits nonzero on a breach
+//!                                                  p50/p90/p99/max latency, error rate
 //! hoiho-serve loadgen <addr> --scenario <file> [conns] [requests]
 //!                                                  same, but the hostname stream is the
 //!                                                  scenario's world under its declared
 //!                                                  traffic skew and batch shape
+//!       [--batch N]                                ... (either form) N hostnames per
+//!                                                  BATCH request, 1..=4096, instead of
+//!                                                  one per line
+//!       [--chaos RATE]                             ... every connection through a seeded
+//!                                                  fault injector, RATE in 0.0..=1.0
+//!       [--slo FILE]                               ... evaluate FILE's objectives against
+//!                                                  the client-side tallies; exit
+//!                                                  nonzero on a breach
 //! hoiho-serve scenario run [--out F] <file...>     sim → learn → score each scenario
 //!                                                  against ground truth; write the
 //!                                                  quality matrix (default SCENARIOS.json)
@@ -54,10 +57,15 @@
 //! dispatch outcomes, or per-shard cache traffic) in one document. `shard`
 //! materializes the same partition the clustered server builds in
 //! memory, for inspection or distribution.
+//!
+//! Each subcommand takes only the options listed with it; options may
+//! appear anywhere after the subcommand, at most once each. Bad
+//! arguments exit 2 with the usage text; failures exit 1.
 
+use hoiho::cli::{self, ArgError, Args};
 use hoiho::learner::{learn_all, LearnConfig};
 use hoiho::quality::QualityCounts;
-use hoiho::training::{Observation, TrainingSet};
+use hoiho::training::TrainingSet;
 use hoiho_cluster::{shard_file_name, split, ClusterBackend, ShardRouter, SHARDMAP_FILE_NAME};
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
@@ -66,261 +74,156 @@ use hoiho_psl::PublicSuffixList;
 use hoiho_scenario::compile::{ground_truth_rows, truth_suffixes};
 use hoiho_scenario::matrix::render_scenarios_json;
 use hoiho_scenario::{Scenario, ScenarioQuality};
-use hoiho_serve::server::Client;
-use hoiho_serve::{Backend, Engine, EngineBackend, Generation, Model, ServerHandle};
-use std::io::{BufRead, Write};
+use hoiho_serve::server::{is_listing, Client};
+use hoiho_serve::{Backend, Engine, EngineBackend, Generation, Model, ServerHandle, MAX_BATCH};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Flags extracted before the positional match so they may appear
-/// anywhere after the subcommand: `--shards`/`--cache-capacity`/
-/// `--trace-sample`/`--trace-seed` for `serve`, `--batch`/`--scenario`/
-/// `--chaos` for `loadgen`, `--slo` for both `serve` and `loadgen`,
-/// `--out` for `scenario run`, `--chrome`/`--collapsed` for `trace`.
-#[derive(Default)]
-struct ClusterFlags {
-    shards: Option<u32>,
-    cache_capacity: Option<usize>,
-    batch: Option<usize>,
-    scenario: Option<String>,
-    out: Option<String>,
-    chaos: Option<f64>,
-    trace_sample: Option<u64>,
-    trace_seed: Option<u64>,
-    slo: Option<String>,
-    chrome: Option<String>,
-    collapsed: Option<String>,
-}
-
-/// Splits `--shards N` / `--cache-capacity K` / `--batch N` /
-/// `--scenario F` / `--out F` / `--chaos RATE` / `--trace-sample N` /
-/// `--trace-seed S` / `--slo F` / `--chrome F` / `--collapsed F` out
-/// of the argument list.
-fn take_cluster_flags(args: &[String]) -> Result<(Vec<&str>, ClusterFlags), String> {
-    let mut flags = ClusterFlags::default();
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = |name: &str| {
-            it.clone()
-                .next()
-                .ok_or_else(|| format!("{name} needs a value"))
-                .map(|v| v.as_str())
-        };
-        match a.as_str() {
-            "--shards" => {
-                let v = value("--shards")?;
-                it.next();
-                flags.shards =
-                    Some(v.parse().map_err(|_| format!("bad --shards value {v:?}"))?);
-            }
-            "--cache-capacity" => {
-                let v = value("--cache-capacity")?;
-                it.next();
-                flags.cache_capacity =
-                    Some(v.parse().map_err(|_| format!("bad --cache-capacity value {v:?}"))?);
-            }
-            "--batch" => {
-                let v = value("--batch")?;
-                it.next();
-                let n: usize =
-                    v.parse().map_err(|_| format!("bad --batch value {v:?}"))?;
-                if n == 0 || n > hoiho_serve::MAX_BATCH {
-                    return Err(format!(
-                        "--batch must be in 1..={}",
-                        hoiho_serve::MAX_BATCH
-                    ));
-                }
-                flags.batch = Some(n);
-            }
-            "--scenario" => {
-                let v = value("--scenario")?;
-                it.next();
-                flags.scenario = Some(v.to_string());
-            }
-            "--out" => {
-                let v = value("--out")?;
-                it.next();
-                flags.out = Some(v.to_string());
-            }
-            "--chaos" => {
-                let v = value("--chaos")?;
-                it.next();
-                let rate: f64 =
-                    v.parse().map_err(|_| format!("bad --chaos value {v:?}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err("--chaos must be in 0.0..=1.0".into());
-                }
-                flags.chaos = Some(rate);
-            }
-            "--trace-sample" => {
-                let v = value("--trace-sample")?;
-                it.next();
-                flags.trace_sample =
-                    Some(v.parse().map_err(|_| format!("bad --trace-sample value {v:?}"))?);
-            }
-            "--trace-seed" => {
-                let v = value("--trace-seed")?;
-                it.next();
-                flags.trace_seed =
-                    Some(v.parse().map_err(|_| format!("bad --trace-seed value {v:?}"))?);
-            }
-            "--slo" => {
-                let v = value("--slo")?;
-                it.next();
-                flags.slo = Some(v.to_string());
-            }
-            "--chrome" => {
-                let v = value("--chrome")?;
-                it.next();
-                flags.chrome = Some(v.to_string());
-            }
-            "--collapsed" => {
-                let v = value("--collapsed")?;
-                it.next();
-                flags.collapsed = Some(v.to_string());
-            }
-            other => rest.push(other),
-        }
-    }
-    Ok((rest, flags))
-}
+const USAGE: &str = "\
+usage: hoiho-serve save <training-file> <model-file>
+       hoiho-serve save --sim <seed> <model-file>
+       hoiho-serve inspect <model-file>
+       hoiho-serve query <model-file> [hostname ...]
+       hoiho-serve shard <model-file> <N> <out-dir>
+       hoiho-serve serve <model-file> <addr> [workers]
+                         [--shards N] [--cache-capacity K]
+                         [--trace-sample N] [--trace-seed S] [--slo FILE]
+       hoiho-serve trace <addr> [n] [--chrome FILE] [--collapsed FILE]
+       hoiho-serve send <addr> <request...>
+       hoiho-serve batch <addr> [hostname ...]
+       hoiho-serve loadgen <addr> <hosts-file> [conns] [requests]
+       hoiho-serve loadgen <addr> --scenario <file> [conns] [requests]
+                           [--batch N] [--chaos RATE] [--slo FILE]
+       hoiho-serve scenario run [--out F] <file...>
+       hoiho-serve scenario save <file> <model-file>
+";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = run(&args);
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("hoiho-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::run("hoiho-serve", USAGE, run)
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let (strs, flags) = take_cluster_flags(args)?;
-    let clustered = flags.shards.is_some() || flags.cache_capacity.is_some();
-    if clustered && strs.first() != Some(&"serve") {
-        return Err("--shards/--cache-capacity only apply to serve".into());
-    }
-    if flags.batch.is_some() && strs.first() != Some(&"loadgen") {
-        return Err("--batch only applies to loadgen".into());
-    }
-    if flags.scenario.is_some() && strs.first() != Some(&"loadgen") {
-        return Err("--scenario only applies to loadgen".into());
-    }
-    if flags.chaos.is_some() && strs.first() != Some(&"loadgen") {
-        return Err("--chaos only applies to loadgen".into());
-    }
-    if flags.out.is_some() && strs.get(..2) != Some(&["scenario", "run"]) {
-        return Err("--out only applies to scenario run".into());
-    }
-    if (flags.trace_sample.is_some() || flags.trace_seed.is_some())
-        && strs.first() != Some(&"serve")
-    {
-        return Err("--trace-sample/--trace-seed only apply to serve".into());
-    }
-    if flags.slo.is_some() && !matches!(strs.first(), Some(&"serve") | Some(&"loadgen")) {
-        return Err("--slo only applies to serve and loadgen".into());
-    }
-    if (flags.chrome.is_some() || flags.collapsed.is_some())
-        && strs.first() != Some(&"trace")
-    {
-        return Err("--chrome/--collapsed only apply to trace".into());
-    }
-    match strs.as_slice() {
-        ["save", "--sim", seed, out] => save_sim(seed, out),
-        ["save", training, out] => save_file(training, out),
-        ["inspect", model] => inspect(model),
-        ["query", model, hosts @ ..] => query(model, hosts),
-        ["shard", model, n, outdir] => match n.parse() {
-            Ok(n) => shard(model, n, outdir),
-            Err(_) => usage(),
-        },
-        ["serve", model, addr] => serve(model, addr, 0, &flags),
-        ["serve", model, addr, workers] => match workers.parse() {
-            Ok(w) => serve(model, addr, w, &flags),
-            Err(_) => usage(),
-        },
-        ["trace", addr] => trace_cmd(addr, None, &flags),
-        ["trace", addr, n] => match n.parse() {
-            Ok(n) => trace_cmd(addr, Some(n), &flags),
-            Err(_) => usage(),
-        },
-        ["send", addr, words @ ..] if !words.is_empty() => send(addr, &words.join(" ")),
-        ["batch", addr, hosts @ ..] => batch_cmd(addr, hosts),
-        ["scenario", "run", files @ ..] if !files.is_empty() => {
-            scenario_run(files, flags.out.as_deref().unwrap_or("SCENARIOS.json"))
-        }
-        ["scenario", "save", file, out] => scenario_save(file, out),
-        ["loadgen", addr] if flags.scenario.is_some() => {
-            loadgen_scenario(addr, flags.scenario.as_deref().unwrap(), None, None, &flags)
-        }
-        ["loadgen", addr, conns] if flags.scenario.is_some() => match conns.parse() {
-            Ok(c) => {
-                loadgen_scenario(addr, flags.scenario.as_deref().unwrap(), Some(c), None, &flags)
+/// Reads one subcommand's options, then its positionals, then runs it.
+fn run(args: &mut Args) -> Result<Result<(), String>, ArgError> {
+    Ok(match args.subcommand()?.as_str() {
+        "save" => match args.opt("--sim")? {
+            Some(seed) => {
+                let out: String = args.positional("<model-file>")?;
+                args.done()?;
+                save_sim(seed, &out)
             }
-            Err(_) => usage(),
+            None => {
+                let training: String = args.positional("<training-file>")?;
+                let out: String = args.positional("<model-file>")?;
+                args.done()?;
+                save_file(&training, &out)
+            }
         },
-        ["loadgen", addr, conns, reqs] if flags.scenario.is_some() => {
-            match (conns.parse(), reqs.parse()) {
-                (Ok(c), Ok(r)) => loadgen_scenario(
-                    addr,
-                    flags.scenario.as_deref().unwrap(),
-                    Some(c),
-                    Some(r),
-                    &flags,
-                ),
-                _ => usage(),
+        "inspect" => {
+            let model: String = args.positional("<model-file>")?;
+            args.done()?;
+            inspect(&model)
+        }
+        "query" => {
+            let model: String = args.positional("<model-file>")?;
+            let hosts: Vec<String> = args.rest("<hostname>", 0)?;
+            args.done()?;
+            query(&model, &hosts)
+        }
+        "shard" => {
+            let model: String = args.positional("<model-file>")?;
+            let n = args.positional("<N>")?;
+            let outdir: String = args.positional("<out-dir>")?;
+            args.done()?;
+            shard(&model, n, &outdir)
+        }
+        "serve" => {
+            let shards = args.opt("--shards")?;
+            let capacity = args.opt("--cache-capacity")?;
+            let sample = args.opt("--trace-sample")?;
+            let seed = args.opt("--trace-seed")?;
+            let slo: Option<String> = args.opt("--slo")?;
+            let model: String = args.positional("<model-file>")?;
+            let addr: String = args.positional("<addr>")?;
+            let workers = args.opt_positional("[workers]")?.unwrap_or(0);
+            args.done()?;
+            let cluster = (shards.is_some() || capacity.is_some())
+                .then(|| (shards.unwrap_or(1), capacity.unwrap_or(0)));
+            let sampler = sample.map(|every| (every, seed.unwrap_or(0)));
+            serve(&model, &addr, workers, cluster, sampler, slo.as_deref())
+        }
+        "trace" => {
+            let chrome: Option<String> = args.opt("--chrome")?;
+            let collapsed: Option<String> = args.opt("--collapsed")?;
+            let addr: String = args.positional("<addr>")?;
+            let n: Option<usize> = args.opt_positional("[n]")?;
+            args.done()?;
+            trace_cmd(&addr, n, chrome.as_deref(), collapsed.as_deref())
+        }
+        "send" => {
+            let addr: String = args.positional("<addr>")?;
+            let words: Vec<String> = args.rest("<request>", 1)?;
+            args.done()?;
+            send(&addr, &words.join(" "))
+        }
+        "batch" => {
+            let addr: String = args.positional("<addr>")?;
+            let hosts: Vec<String> = args.rest("<hostname>", 0)?;
+            args.done()?;
+            batch_cmd(&addr, hosts)
+        }
+        "loadgen" => {
+            let scenario: Option<String> = args.opt("--scenario")?;
+            let batch = args.opt_in("--batch", 1..=MAX_BATCH)?;
+            let chaos = args.opt_in("--chaos", 0.0..=1.0)?;
+            let slo: Option<String> = args.opt("--slo")?;
+            let addr: String = args.positional("<addr>")?;
+            let hosts: String = match scenario {
+                Some(_) => String::new(),
+                None => args.positional("<hosts-file>")?,
+            };
+            let conns: Option<usize> = args.opt_positional("[conns]")?;
+            let requests: Option<usize> = args.opt_positional("[requests]")?;
+            args.done()?;
+            let slo = slo.as_deref();
+            match scenario {
+                Some(file) => loadgen_scenario(&addr, &file, conns, requests, batch, chaos, slo),
+                None => {
+                    let (conns, requests) = (conns.unwrap_or(4), requests.unwrap_or(20_000));
+                    loadgen(&addr, &hosts, conns, requests, batch, chaos, slo)
+                }
             }
         }
-        ["loadgen", addr, hosts] => loadgen(addr, hosts, 4, 20_000, &flags),
-        ["loadgen", addr, hosts, conns] => match conns.parse() {
-            Ok(c) => loadgen(addr, hosts, c, 20_000, &flags),
-            Err(_) => usage(),
+        "scenario" => match args.subcommand()?.as_str() {
+            "run" => {
+                let out = args.opt("--out")?.unwrap_or_else(|| "SCENARIOS.json".to_string());
+                let files: Vec<String> = args.rest("<file>", 1)?;
+                args.done()?;
+                scenario_run(&files, &out)
+            }
+            "save" => {
+                let file: String = args.positional("<file>")?;
+                let out: String = args.positional("<model-file>")?;
+                args.done()?;
+                scenario_save(&file, &out)
+            }
+            _ => return Err(args.error("unknown subcommand")),
         },
-        ["loadgen", addr, hosts, conns, reqs] => match (conns.parse(), reqs.parse()) {
-            (Ok(c), Ok(r)) => loadgen(addr, hosts, c, r, &flags),
-            _ => usage(),
-        },
-        _ => usage(),
-    }
-}
-
-fn usage() -> Result<(), String> {
-    eprintln!("usage: hoiho-serve save <training-file> <model-file>");
-    eprintln!("       hoiho-serve save --sim <seed> <model-file>");
-    eprintln!("       hoiho-serve inspect <model-file>");
-    eprintln!("       hoiho-serve query <model-file> [hostname ...]");
-    eprintln!("       hoiho-serve shard <model-file> <N> <out-dir>");
-    eprintln!("       hoiho-serve serve <model-file> <addr> [workers]");
-    eprintln!("                         [--shards N] [--cache-capacity K]");
-    eprintln!("                         [--trace-sample N] [--trace-seed S] [--slo FILE]");
-    eprintln!("       hoiho-serve trace <addr> [n] [--chrome FILE] [--collapsed FILE]");
-    eprintln!("       hoiho-serve send <addr> <request...>");
-    eprintln!("       hoiho-serve batch <addr> [hostname ...]");
-    eprintln!("       hoiho-serve loadgen <addr> <hosts-file> [conns] [requests]");
-    eprintln!("                           [--batch N] [--chaos RATE] [--slo FILE]");
-    eprintln!("       hoiho-serve loadgen <addr> --scenario <file> [conns] [requests]");
-    eprintln!("       hoiho-serve scenario run [--out F] <file...>");
-    eprintln!("       hoiho-serve scenario save <file> <model-file>");
-    Err("bad arguments".into())
+        _ => return Err(args.error("unknown subcommand")),
+    })
 }
 
 /// Learns from a training file and writes the model artifact.
 fn save_file(training_path: &str, out: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(training_path)
         .map_err(|e| format!("cannot read {training_path}: {e}"))?;
-    let ts = parse_training(&text)?;
-    save_training(&ts, out)
+    save_training(&TrainingSet::parse(&text)?, out)
 }
 
 /// Learns from a synthetic snapshot (netsim → bdrmapIT ownership) and
 /// writes the model artifact.
-fn save_sim(seed: &str, out: &str) -> Result<(), String> {
-    let seed: u64 = seed.parse().map_err(|_| format!("bad seed {seed:?}"))?;
+fn save_sim(seed: u64, out: &str) -> Result<(), String> {
     let snap = BuiltSnapshot::build(&SnapshotSpec {
         label: format!("serve-{seed}"),
         method: Method::BdrmapIt,
@@ -379,7 +282,7 @@ fn scenario_save(file: &str, out: &str) -> Result<(), String> {
 /// `scenario run`: for each scenario, sim → learn → score the learned
 /// model against the world's ground truth, then write the quality
 /// matrix (bench-schema JSON) to `out`.
-fn scenario_run(files: &[&str], out: &str) -> Result<(), String> {
+fn scenario_run(files: &[String], out: &str) -> Result<(), String> {
     let mut items: Vec<ScenarioQuality> = Vec::with_capacity(files.len());
     for file in files {
         let sc = Scenario::load(file).map_err(|e| format!("{file}: {e}"))?;
@@ -475,7 +378,7 @@ fn inspect(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn query(path: &str, hosts: &[&str]) -> Result<(), String> {
+fn query(path: &str, hosts: &[String]) -> Result<(), String> {
     let model = Model::load(path).map_err(|e| e.to_string())?;
     let gen = Generation::new(Arc::new(Engine::new(&model)));
     let stdout = std::io::stdout();
@@ -487,12 +390,8 @@ fn query(path: &str, hosts: &[&str]) -> Result<(), String> {
         out.write_all(&line).ok();
     };
     if hosts.is_empty() {
-        for line in std::io::stdin().lock().lines() {
-            let line = line.map_err(|e| format!("read error: {e}"))?;
-            let h = line.trim();
-            if !h.is_empty() && !h.starts_with('#') {
-                answer(h);
-            }
+        for h in cli::hostnames(None)? {
+            answer(&h?);
         }
     } else {
         for h in hosts {
@@ -525,14 +424,14 @@ fn shard(path: &str, n: u32, outdir: &str) -> Result<(), String> {
 }
 
 /// Configures the server's observability context from the command
-/// line: the trace sampler (off unless `--trace-sample` is given) and
-/// the SLO objectives (`--slo FILE`, else the built-in defaults already
-/// installed by `Obs::new`).
-fn configure_obs(obs: &Obs, flags: &ClusterFlags) -> Result<(), String> {
-    if let Some(every) = flags.trace_sample {
-        obs.sampler().configure(every, flags.trace_seed.unwrap_or(0));
+/// line: the trace sampler (`(every, seed)`, off unless
+/// `--trace-sample` is given) and the SLO objectives (`--slo FILE`,
+/// else the built-in defaults already installed by `Obs::new`).
+fn configure_obs(obs: &Obs, sampler: Option<(u64, u64)>, slo: Option<&str>) -> Result<(), String> {
+    if let Some((every, seed)) = sampler {
+        obs.sampler().configure(every, seed);
     }
-    if let Some(path) = flags.slo.as_deref() {
+    if let Some(path) = slo {
         obs.slo().set_objectives(load_objectives(path)?);
     }
     Ok(())
@@ -545,30 +444,37 @@ fn load_objectives(path: &str) -> Result<Vec<slo::Objective>, String> {
     slo::parse_objectives(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn serve(path: &str, addr: &str, workers: usize, flags: &ClusterFlags) -> Result<(), String> {
+/// Runs the TCP server; `cluster = Some((shards, cache capacity))`
+/// serves the model as a sharded cluster with a response cache.
+fn serve(
+    path: &str,
+    addr: &str,
+    workers: usize,
+    cluster: Option<(u32, usize)>,
+    sampler: Option<(u64, u64)>,
+    slo: Option<&str>,
+) -> Result<(), String> {
     let model = Model::load(path).map_err(|e| e.to_string())?;
-    let clustered = flags.shards.is_some() || flags.cache_capacity.is_some();
-    let shards = flags.shards.unwrap_or(1);
-    let capacity = flags.cache_capacity.unwrap_or(0);
-    let backend: Arc<dyn Backend> = if clustered {
-        let router =
-            ShardRouter::from_model(&model, shards, capacity).map_err(|e| e.to_string())?;
-        Arc::new(ClusterBackend::new(Arc::new(router)))
-    } else {
-        Arc::new(EngineBackend::new(Arc::new(Engine::new(&model))))
+    let backend: Arc<dyn Backend> = match cluster {
+        Some((shards, capacity)) => {
+            let router =
+                ShardRouter::from_model(&model, shards, capacity).map_err(|e| e.to_string())?;
+            Arc::new(ClusterBackend::new(Arc::new(router)))
+        }
+        None => Arc::new(EngineBackend::new(Arc::new(Engine::new(&model)))),
     };
     // The backend's observability context, which the server adopts: the
     // backend's own series, the server's request series, and the
     // trace/profile/SLO state land in the same verbs.
     let obs = backend.obs().expect("the serving backends own an Obs");
-    configure_obs(obs, flags)?;
+    configure_obs(obs, sampler, slo)?;
     let tracing = match obs.sampler().every() {
         0 => String::new(),
         every => format!(", tracing 1 in {every}"),
     };
     let srv = ServerHandle::start_with_backend(addr, backend, workers)
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    if clustered {
+    if let Some((shards, capacity)) = cluster {
         eprintln!(
             "serving {} conventions across {shards} shards (cache capacity {capacity}) on {}{tracing} \
              (send SHUTDOWN to stop, RELOAD SHARD <k> <path> to hot-swap one shard)",
@@ -591,71 +497,55 @@ fn serve(path: &str, addr: &str, workers: usize, flags: &ClusterFlags) -> Result
 /// from a running server's span ring and converts them for tooling —
 /// Chrome trace JSON (`--chrome`, or stdout when no output flag is
 /// given) and collapsed flamegraph stacks (`--collapsed`).
-fn trace_cmd(addr: &str, n: Option<usize>, flags: &ClusterFlags) -> Result<(), String> {
+fn trace_cmd(
+    addr: &str,
+    n: Option<usize>,
+    chrome: Option<&str>,
+    collapsed: Option<&str>,
+) -> Result<(), String> {
     let mut client =
         Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let req = match n {
         Some(n) => format!("TRACES {n}"),
         None => "TRACES".to_string(),
     };
-    let first = client.request(&req).map_err(|e| format!("request failed: {e}"))?;
-    if let Some(msg) = first.strip_prefix("err\t") {
+    let lines = client.listing(&req).map_err(|e| format!("request failed: {e}"))?;
+    if let Some(msg) = lines.first().and_then(|l| l.strip_prefix("err\t")) {
         return Err(format!("server refused: {msg}"));
     }
-    let mut jsonl = String::new();
-    if first != "." {
-        jsonl.push_str(&first);
-        jsonl.push('\n');
-        for l in client.read_until_dot().map_err(|e| format!("request failed: {e}"))? {
-            jsonl.push_str(&l);
-            jsonl.push('\n');
-        }
-    }
-    let spans = span::parse_jsonl(&jsonl).map_err(|e| format!("bad TRACES payload: {e}"))?;
+    let spans =
+        span::parse_jsonl(&lines.join("\n")).map_err(|e| format!("bad TRACES payload: {e}"))?;
     let traces: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.trace).collect();
     eprintln!("{} spans across {} traces from {addr}", spans.len(), traces.len());
-    if let Some(path) = flags.chrome.as_deref() {
+    if let Some(path) = chrome {
         std::fs::write(path, span::to_chrome_json(&spans))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote Chrome trace JSON to {path} (load via chrome://tracing or Perfetto)");
     }
-    if let Some(path) = flags.collapsed.as_deref() {
+    if let Some(path) = collapsed {
         std::fs::write(path, span::to_collapsed(&spans))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote collapsed stacks to {path} (feed to flamegraph.pl)");
     }
-    if flags.chrome.is_none() && flags.collapsed.is_none() {
+    if chrome.is_none() && collapsed.is_none() {
         println!("{}", span::to_chrome_json(&spans));
     }
     Ok(())
 }
 
-/// Sends one protocol request line and prints the reply (including the
-/// extra lines of a multi-line `STATS SUFFIX` / `STATS CLUSTER` /
-/// `METRICS` / `EVENTS` listing).
+/// Sends one protocol request line and prints the reply (every line of
+/// a listing such as `METRICS` or `EVENTS n`, without its terminator).
 fn send(addr: &str, line: &str) -> Result<(), String> {
     let mut client =
         Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let resp = client.request(line).map_err(|e| format!("request failed: {e}"))?;
-    // Multi-line responses: the first line is already part of the
-    // listing (or the lone `.` terminator on an empty listing).
-    let trimmed = line.trim();
-    let multiline = matches!(
-        trimmed,
-        "STATS SUFFIX" | "STATS CLUSTER" | "METRICS" | "EVENTS" | "TRACES" | "PROFILE" | "SLO"
-    ) || trimmed.strip_prefix("EVENTS ").is_some()
-        || trimmed.strip_prefix("TRACES ").is_some();
-    if multiline && !resp.starts_with("err\t") {
-        if resp == "." {
-            return Ok(());
-        }
-        println!("{resp}");
-        for l in client.read_until_dot().map_err(|e| format!("request failed: {e}"))? {
-            println!("{l}");
-        }
-        return Ok(());
+    let reply = if is_listing(line) {
+        client.listing(line)
+    } else {
+        client.request(line).map(|resp| vec![resp])
+    };
+    for l in reply.map_err(|e| format!("request failed: {e}"))? {
+        println!("{l}");
     }
-    println!("{resp}");
     Ok(())
 }
 
@@ -663,21 +553,10 @@ fn send(addr: &str, line: &str) -> Result<(), String> {
 /// as pipelined `BATCH` requests and prints the answer lines. Inputs
 /// larger than the protocol's per-request cap are split into several
 /// `BATCH` requests transparently.
-fn batch_cmd(addr: &str, hosts: &[&str]) -> Result<(), String> {
-    let stdin_hosts: Vec<String>;
-    let hosts: Vec<&str> = if hosts.is_empty() {
-        let mut collected = Vec::new();
-        for line in std::io::stdin().lock().lines() {
-            let line = line.map_err(|e| format!("read error: {e}"))?;
-            let h = line.trim();
-            if !h.is_empty() && !h.starts_with('#') {
-                collected.push(h.to_string());
-            }
-        }
-        stdin_hosts = collected;
-        stdin_hosts.iter().map(String::as_str).collect()
-    } else {
-        hosts.to_vec()
+fn batch_cmd(addr: &str, hosts: Vec<String>) -> Result<(), String> {
+    let hosts = match hosts.is_empty() {
+        true => cli::hostnames(None)?.collect::<Result<Vec<_>, _>>()?,
+        false => hosts,
     };
     if hosts.is_empty() {
         return Err("no hostnames to send".into());
@@ -686,7 +565,7 @@ fn batch_cmd(addr: &str, hosts: &[&str]) -> Result<(), String> {
         Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for chunk in hosts.chunks(hoiho_serve::MAX_BATCH) {
+    for chunk in hosts.chunks(MAX_BATCH) {
         let lines = client.batch(chunk).map_err(|e| format!("batch failed: {e}"))?;
         for l in lines {
             writeln!(out, "{l}").ok();
@@ -718,16 +597,13 @@ fn loadgen(
     hosts_path: &str,
     conns: usize,
     requests: usize,
-    flags: &ClusterFlags,
+    batch: Option<usize>,
+    chaos: Option<f64>,
+    slo: Option<&str>,
 ) -> Result<(), String> {
-    let text = std::fs::read_to_string(hosts_path)
-        .map_err(|e| format!("cannot read {hosts_path}: {e}"))?;
-    let hosts: Vec<&str> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    drive(addr, &hosts, conns, requests, flags.batch, flags.chaos, flags.slo.as_deref())
+    let hosts = cli::hostnames(Some(hosts_path))?.collect::<Result<Vec<_>, _>>()?;
+    let hosts: Vec<&str> = hosts.iter().map(String::as_str).collect();
+    drive(addr, &hosts, conns, requests, batch, chaos, slo)
 }
 
 /// Replays a scenario's declared workload against a running server:
@@ -739,9 +615,10 @@ fn loadgen_scenario(
     file: &str,
     conns: Option<usize>,
     requests: Option<usize>,
-    flags: &ClusterFlags,
+    batch: Option<usize>,
+    chaos: Option<f64>,
+    slo: Option<&str>,
 ) -> Result<(), String> {
-    let batch = flags.batch;
     let sc = Scenario::load(file).map_err(|e| e.to_string())?;
     let net = sc.build().map_err(|e| e.to_string())?;
     let uni = hoiho_scenario::traffic::universe(&net);
@@ -758,7 +635,7 @@ fn loadgen_scenario(
     let stream: Vec<&str> = idx.iter().map(|&i| uni[i].as_str()).collect();
     let batch = batch
         .or_else(|| (sc.traffic.batch > 0).then_some(sc.traffic.batch))
-        .map(|b| b.min(hoiho_serve::MAX_BATCH));
+        .map(|b| b.min(MAX_BATCH));
     eprintln!(
         "scenario {}: universe {} hostnames, skew {}, {} requests over {conns} connections{}",
         sc.name,
@@ -767,7 +644,7 @@ fn loadgen_scenario(
         per_conn * conns,
         batch.map_or(String::new(), |b| format!(", batch {b}")),
     );
-    drive(addr, &stream, conns, per_conn, batch, flags.chaos, flags.slo.as_deref())
+    drive(addr, &stream, conns, per_conn, batch, chaos, slo)
 }
 
 /// Read timeout for chaos-mode connections: short enough that a
@@ -973,63 +850,9 @@ fn drive(
     Ok(())
 }
 
-/// Parses the `hoiho` CLI training format: `asn addr hostname` per line.
-fn parse_training(text: &str) -> Result<TrainingSet, String> {
-    let mut ts = TrainingSet::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-        let mut it = line.split_whitespace();
-        let asn: u32 =
-            it.next().and_then(|s| s.parse().ok()).ok_or_else(|| err("bad ASN"))?;
-        let addr =
-            it.next().and_then(hoiho::iputil::parse_ipv4).ok_or_else(|| err("bad address"))?;
-        let hostname = it.next().ok_or_else(|| err("missing hostname"))?;
-        if it.next().is_some() {
-            return Err(err("trailing fields"));
-        }
-        ts.push(Observation::new(hostname, addr, asn));
-    }
-    Ok(ts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn training_parser_matches_cli_format() {
-        let ts = parse_training("# c\n64500 192.0.2.1 as64500.x.example.net\n").unwrap();
-        assert_eq!(ts.len(), 1);
-        assert!(parse_training("x 1.2.3.4 h").is_err());
-        assert!(parse_training("1 bad h").is_err());
-        assert!(parse_training("1 1.2.3.4").is_err());
-    }
-
-    #[test]
-    fn cluster_flags_extracted_anywhere() {
-        let args: Vec<String> = ["serve", "m", "a", "--shards", "4", "--cache-capacity", "512"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, flags) = take_cluster_flags(&args).unwrap();
-        assert_eq!(rest, ["serve", "m", "a"]);
-        assert_eq!(flags.shards, Some(4));
-        assert_eq!(flags.cache_capacity, Some(512));
-
-        let args: Vec<String> =
-            ["serve", "--shards", "2", "m", "a"].iter().map(|s| s.to_string()).collect();
-        let (rest, flags) = take_cluster_flags(&args).unwrap();
-        assert_eq!(rest, ["serve", "m", "a"]);
-        assert_eq!(flags.shards, Some(2));
-        assert_eq!(flags.cache_capacity, None);
-
-        assert!(take_cluster_flags(&["--shards".to_string()]).is_err());
-        assert!(take_cluster_flags(&["--shards".to_string(), "x".to_string()]).is_err());
-    }
 
     #[test]
     fn conn_tallies_merge_into_one_histogram() {

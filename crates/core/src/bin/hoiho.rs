@@ -27,102 +27,65 @@
 //! [`hoiho::convention::parse_conventions`] reads (suffix line, indented
 //! regexes), with per-convention statistics as `#` comments — ready to
 //! feed back into `apply`. `apply` reads hostnames (one per line, from a
-//! file or stdin) and prints `hostname<TAB>ASN` for every extraction.
+//! file or stdin; blank lines and `#` comments are skipped), picks each
+//! one's convention by the serving engine's dispatch rule (registrable
+//! domain first, then the longest listed suffix), and prints
+//! `hostname<TAB>ASN`, or `hostname<TAB>-` when nothing extracts.
+//!
+//! Options may appear anywhere after the subcommand, at most once each.
+//! Bad arguments exit 2 with the usage text; failures exit 1.
 
+use hoiho::cli::{self, ArgError, Args};
 use hoiho::convention::parse_conventions;
 use hoiho::learner::{learn_all_traced, LearnConfig};
 use hoiho::training::{Observation, TrainingSet};
 use hoiho_obs::Tracer;
-use hoiho_psl::PublicSuffixList;
-use std::io::{BufRead, Read, Write};
+use hoiho_psl::{Dispatch, PublicSuffixList};
+use std::collections::HashMap;
+use std::io::Write;
 use std::process::ExitCode;
 
-/// Where `learn` gets its observations.
-enum LearnSource {
-    /// A training file (`asn addr hostname` lines).
-    File(String),
-    /// The `hoiho-netsim` tiny synthetic Internet at this seed.
-    Sim(u64),
-}
+const USAGE: &str = "\
+usage: hoiho learn <training-file> [--trace <out.json>]
+       hoiho learn --sim <seed> [--trace <out.json>]
+       hoiho apply <conventions-file> [hostnames-file]
+(see crate docs for the file formats)
+";
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = || {
-        eprintln!("usage: hoiho learn <training-file> [--trace <out.json>]");
-        eprintln!("       hoiho learn --sim <seed> [--trace <out.json>]");
-        eprintln!("       hoiho apply <conventions-file> [hostnames-file]");
-        eprintln!("(see crate docs for the file formats)");
-        ExitCode::from(2)
-    };
-    let result = match args.first().map(|s| s.as_str()) {
-        Some("learn") => {
-            let trace_path = match take_flag_value(&mut args, "--trace") {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("hoiho: {e}");
-                    return usage();
-                }
-            };
-            let sim_seed = match take_flag_value(&mut args, "--sim") {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("hoiho: {e}");
-                    return usage();
-                }
-            };
-            let source = match (sim_seed, args.len()) {
-                (Some(seed), 1) => match seed.parse() {
-                    Ok(s) => LearnSource::Sim(s),
-                    Err(_) => {
-                        eprintln!("hoiho: --sim takes an integer seed, got {seed:?}");
-                        return usage();
-                    }
-                },
-                (None, 2) => LearnSource::File(args[1].clone()),
-                _ => return usage(),
-            };
-            learn(source, trace_path.as_deref())
-        }
-        Some("apply") if args.len() == 2 || args.len() == 3 => {
-            apply(&args[1], args.get(2).map(|s| s.as_str()))
-        }
-        _ => return usage(),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("hoiho: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::run("hoiho", USAGE, run)
 }
 
-/// Removes `flag <value>` from `args`; errors when the flag is last
-/// (no value) or repeated.
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    if args.iter().any(|a| a == flag) {
-        return Err(format!("{flag} given twice"));
-    }
-    Ok(Some(value))
+fn run(args: &mut Args) -> Result<Result<(), String>, ArgError> {
+    Ok(match args.subcommand()?.as_str() {
+        "learn" => {
+            let trace: Option<String> = args.opt("--trace")?;
+            let training = match args.opt("--sim")? {
+                Some(seed) => {
+                    args.done()?;
+                    Ok(sim_training(seed))
+                }
+                None => {
+                    let path: String = args.positional("<training-file>")?;
+                    args.done()?;
+                    std::fs::read_to_string(&path)
+                        .map_err(|e| format!("cannot read {path}: {e}"))
+                        .and_then(|text| TrainingSet::parse(&text))
+                }
+            };
+            training.and_then(|ts| learn(&ts, trace.as_deref()))
+        }
+        "apply" => {
+            let conventions: String = args.positional("<conventions-file>")?;
+            let hosts: Option<String> = args.opt_positional("[hostnames-file]")?;
+            args.done()?;
+            apply(&conventions, hosts.as_deref())
+        }
+        _ => return Err(args.error("unknown subcommand")),
+    })
 }
 
-fn learn(source: LearnSource, trace_path: Option<&str>) -> Result<(), String> {
-    let training = match source {
-        LearnSource::File(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            parse_training(&text)?
-        }
-        LearnSource::Sim(seed) => sim_training(seed),
-    };
+fn learn(training: &TrainingSet, trace_path: Option<&str>) -> Result<(), String> {
     let psl = PublicSuffixList::builtin();
     let groups = training.by_suffix(&psl);
     let tracer = trace_path.map(|_| Tracer::new());
@@ -161,32 +124,25 @@ fn learn(source: LearnSource, trace_path: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
+/// Extracts with the convention that [`PublicSuffixList::dispatch`]
+/// picks for each hostname — the rule the serving engine and the shard
+/// router follow.
 fn apply(conv_path: &str, hosts_path: Option<&str>) -> Result<(), String> {
-    let text = std::fs::read_to_string(conv_path)
-        .map_err(|e| format!("cannot read {conv_path}: {e}"))?;
+    let text =
+        std::fs::read_to_string(conv_path).map_err(|e| format!("cannot read {conv_path}: {e}"))?;
     let conventions = parse_conventions(&text)?;
-    let input: Box<dyn Read> = match hosts_path {
-        Some(p) => Box::new(
-            std::fs::File::open(p).map_err(|e| format!("cannot open {p}: {e}"))?,
-        ),
-        None => Box::new(std::io::stdin()),
-    };
-    let reader = std::io::BufReader::new(input);
+    let by_suffix: HashMap<&str, usize> =
+        conventions.iter().enumerate().map(|(i, nc)| (nc.suffix.as_str(), i)).collect();
+    let psl = PublicSuffixList::builtin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("read error: {e}"))?;
-        let hostname = line.trim();
-        if hostname.is_empty() || hostname.starts_with('#') {
-            continue;
-        }
-        let hit = conventions.iter().find_map(|nc| {
-            hostname
-                .to_ascii_lowercase()
-                .ends_with(&format!(".{}", nc.suffix))
-                .then(|| nc.extract(hostname))
-                .flatten()
-        });
+    for hostname in cli::hostnames(hosts_path)? {
+        let hostname = hostname?;
+        let lower = hoiho_psl::lowercase(&hostname);
+        let hit = match psl.dispatch(&lower, |k| by_suffix.get(k).copied()) {
+            Dispatch::Exact(i) | Dispatch::Fallback(i) => conventions[i].extract(&hostname),
+            Dispatch::Miss => None,
+        };
         match hit {
             Some(asn) => writeln!(out, "{hostname}\t{asn}").ok(),
             None => writeln!(out, "{hostname}\t-").ok(),
@@ -207,71 +163,9 @@ fn sim_training(seed: u64) -> TrainingSet {
     ts
 }
 
-/// Parses the training file format: `asn addr hostname` per line.
-fn parse_training(text: &str) -> Result<TrainingSet, String> {
-    let mut ts = TrainingSet::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-        let mut it = line.split_whitespace();
-        let asn: u32 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err("bad ASN"))?;
-        let addr = it
-            .next()
-            .and_then(hoiho::iputil::parse_ipv4)
-            .ok_or_else(|| err("bad address"))?;
-        let hostname = it.next().ok_or_else(|| err("missing hostname"))?;
-        if it.next().is_some() {
-            return Err(err("trailing fields"));
-        }
-        ts.push(Observation::new(hostname, addr, asn));
-    }
-    Ok(ts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn training_parser_accepts_valid_lines() {
-        let ts = parse_training(
-            "# comment\n64500 192.0.2.1 as64500.x.example.net\n\n64501 192.0.2.2 as64501.y.example.net\n",
-        )
-        .unwrap();
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.observations()[0].training_asn, 64500);
-        assert_eq!(ts.observations()[0].hostname, "as64500.x.example.net");
-    }
-
-    #[test]
-    fn training_parser_rejects_malformed() {
-        assert!(parse_training("x 192.0.2.1 host").is_err());
-        assert!(parse_training("1 not-an-ip host").is_err());
-        assert!(parse_training("1 192.0.2.1").is_err());
-        assert!(parse_training("1 192.0.2.1 host extra").is_err());
-    }
-
-    #[test]
-    fn flag_extraction() {
-        let mut args: Vec<String> =
-            ["learn", "--sim", "7", "--trace", "t.json"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_flag_value(&mut args, "--trace").unwrap().as_deref(), Some("t.json"));
-        assert_eq!(take_flag_value(&mut args, "--sim").unwrap().as_deref(), Some("7"));
-        assert_eq!(args, vec!["learn".to_string()]);
-        assert_eq!(take_flag_value(&mut args, "--trace").unwrap(), None);
-
-        let mut dangling: Vec<String> = ["learn", "--trace"].iter().map(|s| s.to_string()).collect();
-        assert!(take_flag_value(&mut dangling, "--trace").is_err());
-        let mut twice: Vec<String> =
-            ["--sim", "1", "--sim", "2"].iter().map(|s| s.to_string()).collect();
-        assert!(take_flag_value(&mut twice, "--sim").is_err());
-    }
 
     #[test]
     fn sim_training_is_deterministic_and_nonempty() {

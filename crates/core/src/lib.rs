@@ -53,6 +53,7 @@
 
 pub mod apparent;
 pub mod classify;
+pub mod cli;
 pub mod convention;
 pub mod editdist;
 pub mod eval;

@@ -13,7 +13,7 @@
 //! ASN is present (§3.1).
 
 use crate::apparent::apparent_asn;
-use crate::iputil::{embedded_ip_spans, Ipv4};
+use crate::iputil::{embedded_ip_spans, parse_ipv4, Ipv4};
 use hoiho_psl::PublicSuffixList;
 use std::collections::BTreeMap;
 
@@ -128,6 +128,29 @@ impl TrainingSet {
         &self.obs
     }
 
+    /// Parses the training-file format of the command-line tools: one
+    /// `asn addr hostname` observation per line; blank lines and `#`
+    /// comments are skipped. Errors name the 1-based line.
+    pub fn parse(text: &str) -> Result<TrainingSet, String> {
+        let mut ts = TrainingSet::new();
+        for (lineno, raw) in text.lines().enumerate() {
+            let line = raw.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
+            let mut it = line.split_whitespace();
+            let asn: u32 = it.next().and_then(|s| s.parse().ok()).ok_or_else(|| err("bad ASN"))?;
+            let addr = it.next().and_then(parse_ipv4).ok_or_else(|| err("bad address"))?;
+            let hostname = it.next().ok_or_else(|| err("missing hostname"))?;
+            if it.next().is_some() {
+                return Err(err("trailing fields"));
+            }
+            ts.push(Observation::new(hostname, addr, asn));
+        }
+        Ok(ts)
+    }
+
     /// Groups observations by registrable domain. Hostnames without a
     /// registrable domain (bare public suffixes, malformed names) are
     /// dropped. Groups come back sorted by suffix for determinism.
@@ -167,6 +190,29 @@ mod tests {
         assert_eq!(groups[0].hosts[0].hostname, "a.b.equinix.com"); // lowercased
         assert_eq!(groups[0].hosts[0].local, "a.b");
         assert_eq!(groups[1].suffix, "nts.ch");
+    }
+
+    #[test]
+    fn training_file_parses_valid_lines_and_rejects_malformed() {
+        let ts = TrainingSet::parse(
+            "# comment\n64500 192.0.2.1 AS64500.x.example.net\n\n  64501 192.0.2.2 as64501.y.example.net\n",
+        )
+        .unwrap();
+        assert_eq!(ts.len(), 2);
+        assert_eq!(
+            ts.observations()[0],
+            Observation::new("as64500.x.example.net", [192, 0, 2, 1], 64500)
+        );
+        assert_eq!(ts.observations()[1].training_asn, 64501);
+        for (bad, what) in [
+            ("x 192.0.2.1 host", "line 1: bad ASN"),
+            ("1 not-an-ip host", "line 1: bad address"),
+            ("# c\n1 192.0.2.1", "line 2: missing hostname"),
+            ("1 192.0.2.1 host extra", "line 1: trailing fields"),
+        ] {
+            let e = TrainingSet::parse(bad).unwrap_err();
+            assert!(e.starts_with(what), "{bad:?}: {e}");
+        }
     }
 
     #[test]

@@ -10,19 +10,52 @@
 //! (seeds accept `0x` hex); failures are minimized, written into the
 //! corpus as `crash-*.case`, and make the exit status nonzero.
 //! `replay` re-runs every committed corpus case and fails if any
-//! regressed. `minimize` shrinks one case file in place.
+//! regressed. `minimize` shrinks one failing case file in place.
+//!
+//! Options may appear anywhere after the subcommand, at most once each.
+//! Bad arguments (an unknown target among them) exit 2 with the usage
+//! text; failures exit 1.
 
+use hoiho::cli::{self, ArgError, Args};
 use hoiho_fuzz::{corpus, runner, targets};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: hoiho-fuzz run [--iters N] [--seed S] [--target NAME] [--corpus DIR]\n\
-         \u{20}      hoiho-fuzz replay [--target NAME] [--corpus DIR]\n\
-         \u{20}      hoiho-fuzz minimize <file> --target NAME"
-    );
-    ExitCode::from(2)
+const USAGE: &str = "\
+usage: hoiho-fuzz run [--iters N] [--seed S] [--target NAME] [--corpus DIR]
+       hoiho-fuzz replay [--target NAME] [--corpus DIR]
+       hoiho-fuzz minimize <file> --target NAME
+";
+
+fn main() -> ExitCode {
+    cli::run("hoiho-fuzz", USAGE, run)
+}
+
+fn run(args: &mut Args) -> Result<Result<(), String>, ArgError> {
+    Ok(match args.subcommand()?.as_str() {
+        "run" => {
+            let iters = args.opt("--iters")?.unwrap_or(10_000);
+            let seed = args.opt_with("--seed", parse_seed)?.unwrap_or(0xC0FFEE);
+            let picked = selected_targets(args)?;
+            let corpus = args.opt("--corpus")?.unwrap_or_else(corpus::default_dir);
+            args.done()?;
+            cmd_run(&picked, iters, seed, &corpus)
+        }
+        "replay" => {
+            let picked = selected_targets(args)?;
+            let corpus = args.opt("--corpus")?.unwrap_or_else(corpus::default_dir);
+            args.done()?;
+            cmd_replay(&picked, &corpus)
+        }
+        "minimize" => {
+            let name: Option<String> = args.opt("--target")?;
+            let file: PathBuf = args.positional("<file>")?;
+            args.done()?;
+            let name = name.ok_or_else(|| args.error("missing --target NAME"))?;
+            cmd_minimize(target_named(args, &name)?.as_ref(), &file)
+        }
+        _ => return Err(args.error("unknown subcommand")),
+    })
 }
 
 /// Accepts decimal or 0x-prefixed hex.
@@ -34,69 +67,34 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-struct Flags {
+/// Every registered target, or the one `--target` names.
+fn selected_targets(args: &mut Args) -> Result<Vec<Box<dyn targets::Target>>, ArgError> {
+    match args.opt::<String>("--target")? {
+        Some(name) => Ok(vec![target_named(args, &name)?]),
+        None => Ok(targets::all_targets()),
+    }
+}
+
+fn target_named(args: &Args, name: &str) -> Result<Box<dyn targets::Target>, ArgError> {
+    targets::target_by_name(name).ok_or_else(|| {
+        let known: Vec<&str> = targets::all_targets().iter().map(|t| t.name()).collect();
+        args.error(format_args!("unknown target {name:?}; known targets: {}", known.join(", ")))
+    })
+}
+
+fn cmd_run(
+    picked: &[Box<dyn targets::Target>],
     iters: u64,
     seed: u64,
-    target: Option<String>,
-    corpus: PathBuf,
-    file: Option<PathBuf>,
-}
-
-fn parse_flags(args: &[String]) -> Option<Flags> {
-    let mut f = Flags {
-        iters: 10_000,
-        seed: 0xC0FFEE,
-        target: None,
-        corpus: corpus::default_dir(),
-        file: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--iters" => f.iters = it.next()?.parse().ok()?,
-            "--seed" => f.seed = parse_seed(it.next()?)?,
-            "--target" => f.target = Some(it.next()?.clone()),
-            "--corpus" => f.corpus = PathBuf::from(it.next()?),
-            other if !other.starts_with("--") && f.file.is_none() => {
-                f.file = Some(PathBuf::from(other));
-            }
-            _ => return None,
-        }
-    }
-    Some(f)
-}
-
-fn selected_targets(name: Option<&str>) -> Result<Vec<Box<dyn targets::Target>>, ExitCode> {
-    let all = targets::all_targets();
-    match name {
-        None => Ok(all),
-        Some(n) => {
-            let picked: Vec<_> = all.into_iter().filter(|t| t.name() == n).collect();
-            if picked.is_empty() {
-                eprintln!("unknown target {n:?}; known targets:");
-                for t in targets::all_targets() {
-                    eprintln!("  {}", t.name());
-                }
-                return Err(ExitCode::from(2));
-            }
-            Ok(picked)
-        }
-    }
-}
-
-fn cmd_run(flags: Flags) -> ExitCode {
-    let picked = match selected_targets(flags.target.as_deref()) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let mut failed = false;
-    for target in &picked {
-        let report =
-            runner::run_target(target.as_ref(), flags.iters, flags.seed, Some(&flags.corpus));
+    corpus: &Path,
+) -> Result<(), String> {
+    let mut failed = 0usize;
+    for target in picked {
+        let report = runner::run_target(target.as_ref(), iters, seed, Some(corpus));
         if report.failures.is_empty() {
             println!("{}\tok\titers={}", report.target, report.iters);
         } else {
-            failed = true;
+            failed += 1;
             println!(
                 "{}\tFAIL\titers={}\tfailures={}",
                 report.target,
@@ -115,25 +113,15 @@ fn cmd_run(flags: Flags) -> ExitCode {
             }
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{n} target(s) found failures")),
     }
 }
 
-fn cmd_replay(flags: Flags) -> ExitCode {
-    let picked = match selected_targets(flags.target.as_deref()) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let outcomes = match runner::replay(&picked, &flags.corpus) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("corpus read failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_replay(picked: &[Box<dyn targets::Target>], corpus: &Path) -> Result<(), String> {
+    let outcomes =
+        runner::replay(picked, corpus).map_err(|e| format!("corpus read failed: {e}"))?;
     let mut failed = 0usize;
     for o in &outcomes {
         match &o.result {
@@ -145,53 +133,19 @@ fn cmd_replay(flags: Flags) -> ExitCode {
         }
     }
     println!("replayed {} cases, {} failed", outcomes.len(), failed);
-    if failed > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{n} corpus case(s) regressed")),
     }
 }
 
-fn cmd_minimize(flags: Flags) -> ExitCode {
-    let (Some(file), Some(name)) = (&flags.file, flags.target.as_deref()) else {
-        return usage();
-    };
-    let Some(target) = targets::target_by_name(name) else {
-        eprintln!("unknown target {name:?}");
-        return ExitCode::from(2);
-    };
-    let case = match std::fs::read(file) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("read {}: {e}", file.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if runner::exec(target.as_ref(), &case).is_ok() {
-        eprintln!("case passes; nothing to minimize");
-        return ExitCode::FAILURE;
+fn cmd_minimize(target: &dyn targets::Target, file: &Path) -> Result<(), String> {
+    let case = std::fs::read(file).map_err(|e| format!("read {}: {e}", file.display()))?;
+    if runner::exec(target, &case).is_ok() {
+        return Err("case passes; nothing to minimize".into());
     }
-    let min = runner::minimize(target.as_ref(), &case);
-    if let Err(e) = std::fs::write(file, &min) {
-        eprintln!("write {}: {e}", file.display());
-        return ExitCode::FAILURE;
-    }
+    let min = runner::minimize(target, &case);
+    std::fs::write(file, &min).map_err(|e| format!("write {}: {e}", file.display()))?;
     println!("{} bytes -> {} bytes\t{}", case.len(), min.len(), file.display());
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    let Some(flags) = parse_flags(&args[1..]) else {
-        return usage();
-    };
-    match cmd.as_str() {
-        "run" => cmd_run(flags),
-        "replay" => cmd_replay(flags),
-        "minimize" => cmd_minimize(flags),
-        _ => usage(),
-    }
+    Ok(())
 }

@@ -32,7 +32,7 @@
 //! the `PROFILE` exposition.
 
 use crate::json_str;
-use crate::trace::{current_tid, Clock, WallClock};
+use crate::trace::{chrome_json, current_tid, ChromeEvent, Clock, WallClock};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -708,36 +708,25 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<ReqSpan>, String> {
     Ok(out)
 }
 
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
 /// Renders spans as a Chrome trace-event JSON document (`ph:"X"`
 /// complete events; one viewer row per trace via `tid`), loadable in
-/// `chrome://tracing` / Perfetto.
+/// `chrome://tracing` / Perfetto. Written by the same writer as
+/// [`crate::Tracer::to_chrome_json`].
 pub fn to_chrome_json(spans: &[ReqSpan]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n{{\"name\":{},\"cat\":\"hoiho\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{},\"dur\":{},\"args\":{{\"trace\":\"{:016x}\",\"span\":{},\"parent\":{},\
-             \"shard\":{},\"generation\":{}}}}}",
-            json_str(&s.frame()),
-            s.trace & 0x7FFF_FFFF,
-            micros(s.start_ns),
-            micros(s.duration_ns()),
+    chrome_json(spans.iter().map(|s| ChromeEvent {
+        name: s.frame(),
+        tid: s.trace & 0x7FFF_FFFF,
+        start_ns: s.start_ns,
+        dur_ns: s.duration_ns(),
+        args: format!(
+            "\"trace\":\"{:016x}\",\"span\":{},\"parent\":{},\"shard\":{},\"generation\":{}",
             s.trace,
             s.id,
             if s.parent == NO_PARENT { -1i64 } else { s.parent as i64 },
             if s.shard == NO_SHARD { -1i64 } else { s.shard as i64 },
             s.generation,
-        ));
-    }
-    out.push_str("\n]}\n");
-    out
+        ),
+    }))
 }
 
 /// The one self-time walk: calls `f(tree, span, self_ns)` for every
@@ -1007,8 +996,8 @@ mod tests {
         assert!(doc.contains("\"traceEvents\":["));
         assert!(doc.contains("\"ph\":\"X\""));
         assert!(doc.contains("\"name\":\"server:query\""));
-        assert!(doc.contains("\"ts\":1.000"));
-        assert!(doc.contains("\"dur\":2.500"));
+        assert!(doc.contains("\"ts\":1,"));
+        assert!(doc.contains("\"dur\":2.5,"));
         assert!(doc.contains("\"parent\":-1"));
         assert!(doc.trim_end().ends_with("]}"));
     }

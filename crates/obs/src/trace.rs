@@ -159,39 +159,21 @@ impl Tracer {
     }
 
     /// Renders all finished spans as a Chrome trace-event JSON
-    /// document (`{"traceEvents": [...]}`, `ph:"X"` complete events,
-    /// timestamps and durations in microseconds with nanosecond
-    /// precision preserved in the fraction). Loadable in
+    /// document ([`chrome_json`]; every arg a string). Loadable in
     /// `chrome://tracing` and Perfetto.
     pub fn to_chrome_json(&self) -> String {
         let spans = self.spans.lock().expect("tracer lock poisoned");
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        chrome_json(spans.iter().map(|s| {
+            let args: Vec<String> =
+                s.args.iter().map(|(k, v)| format!("{}:{}", json_str(k), json_str(v))).collect();
+            ChromeEvent {
+                name: s.name.clone(),
+                tid: s.tid,
+                start_ns: s.start_ns,
+                dur_ns: s.duration_ns(),
+                args: args.join(","),
             }
-            out.push_str("{\"name\":");
-            out.push_str(&json_str(&s.name));
-            out.push_str(",\"cat\":\"hoiho\",\"ph\":\"X\",\"pid\":1,\"tid\":");
-            out.push_str(&s.tid.to_string());
-            out.push_str(&format!(
-                ",\"ts\":{},\"dur\":{}",
-                micros(s.start_ns),
-                micros(s.duration_ns())
-            ));
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in s.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(k));
-                out.push(':');
-                out.push_str(&json_str(v));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+        }))
     }
 
     fn finish(&self, record: SpanRecord) {
@@ -205,13 +187,48 @@ impl Default for Tracer {
     }
 }
 
+/// One `ph:"X"` complete event for [`chrome_json`].
+pub(crate) struct ChromeEvent {
+    pub name: String,
+    pub tid: u64,
+    pub start_ns: u64,
+    pub dur_ns: u64,
+    /// The members of the event's `args` object, already JSON
+    /// (`"suffix":"example.com","n":3`).
+    pub args: String,
+}
+
+/// The one Chrome trace-event writer, behind [`Tracer::to_chrome_json`]
+/// and [`crate::span::to_chrome_json`]: a `{"traceEvents":[...]}`
+/// document of complete events in category `hoiho`, pid 1, with `ts`
+/// and `dur` in microseconds.
+pub(crate) fn chrome_json(events: impl Iterator<Item = ChromeEvent>) -> String {
+    let mut out = String::from("{\"traceEvents\":[");
+    for (i, e) in events.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"name\":{},\"cat\":\"hoiho\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
+             \"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
+            json_str(&e.name),
+            e.tid,
+            micros(e.start_ns),
+            micros(e.dur_ns),
+            e.args,
+        ));
+    }
+    out.push_str("]}");
+    out
+}
+
 /// Nanoseconds → microseconds with the sub-µs part kept as a decimal
-/// fraction (Chrome accepts fractional `ts`/`dur`).
+/// fraction, trailing zeros trimmed (Chrome accepts fractional
+/// `ts`/`dur`).
 fn micros(ns: u64) -> String {
-    if ns % 1000 == 0 {
+    if ns.is_multiple_of(1000) {
         (ns / 1000).to_string()
     } else {
-        // Trim trailing zeros off the 3-digit fraction.
         let mut s = format!("{}.{:03}", ns / 1000, ns % 1000);
         while s.ends_with('0') {
             s.pop();
@@ -297,6 +314,33 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"ts\":0,\"dur\":2.5"), "{json}");
         assert!(json.contains("\"args\":{\"suffix\":\"a\\\"b.nz\"}"), "{json}");
+    }
+
+    #[test]
+    fn chrome_json_bytes_are_pinned() {
+        let clock = Arc::new(ManualClock::new());
+        let tracer = Tracer::with_clock(clock.clone());
+        {
+            let _outer = tracer.span("learn_suffix", &[("suffix", "x.nz"), ("n", "2")]);
+            clock.advance(1_250);
+            let _inner = tracer.span("generate", &[]);
+            clock.advance(1_000);
+        }
+        let tid = current_tid();
+        let event = |name: &str, ts: &str, dur: &str, args: &str| {
+            format!(
+                "{{\"name\":\"{name}\",\"cat\":\"hoiho\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
+                 \"ts\":{ts},\"dur\":{dur},\"args\":{{{args}}}}}"
+            )
+        };
+        assert_eq!(
+            tracer.to_chrome_json(),
+            format!(
+                "{{\"traceEvents\":[{},{}]}}",
+                event("generate", "1.25", "1", ""),
+                event("learn_suffix", "0", "2.25", "\"suffix\":\"x.nz\",\"n\":\"2\""),
+            )
+        );
     }
 
     #[test]

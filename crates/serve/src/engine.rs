@@ -151,12 +151,6 @@ pub struct Engine {
 impl Engine {
     /// Compiles a model into an engine using the built-in PSL snapshot.
     pub fn new(model: &Model) -> Engine {
-        Engine::with_psl(model, PublicSuffixList::builtin())
-    }
-
-    /// Compiles a model with a caller-provided PSL (e.g. a full Mozilla
-    /// list loaded at deploy time).
-    pub fn with_psl(model: &Model, psl: PublicSuffixList) -> Engine {
         let ncs: Vec<CompiledNc> = model
             .entries
             .iter()
@@ -164,7 +158,7 @@ impl Engine {
             .collect();
         let by_suffix =
             ncs.iter().enumerate().map(|(i, nc)| (Arc::clone(&nc.suffix), i)).collect();
-        Engine { psl, ncs, by_suffix, obs: None }
+        Engine { psl: PublicSuffixList::builtin(), ncs, by_suffix, obs: None }
     }
 
     /// Attaches dispatch-outcome counters; every subsequent lookup
@@ -375,13 +369,9 @@ mod tests {
         e.extract("p714.sgw.equinix.com"); // registrable domain hit
         e.extract("as100.nts.ch"); // registrable domain hit
         e.extract("core1.example.org"); // no covering suffix
-        let deep = Engine::with_psl(
-            &Model {
-                entries: vec![entry("net.example.com", &[r"^as(\d+)\.net\.example\.com$"])],
-            },
-            PublicSuffixList::builtin(),
-        );
-        let mut deep = deep;
+        let mut deep = Engine::new(&Model {
+            entries: vec![entry("net.example.com", &[r"^as(\d+)\.net\.example\.com$"])],
+        });
         deep.attach_obs(EngineObs::register(&registry));
         deep.extract("as100.net.example.com"); // deeper than the PSL rd: fallback
         let text = registry.render();

@@ -495,6 +495,16 @@ fn verb_of(request: &str) -> &'static str {
     }
 }
 
+/// True for the requests answered by a `.`-terminated listing:
+/// `STATS SUFFIX`, `STATS CLUSTER`, `METRICS`, `EVENTS [n]`,
+/// `TRACES [n]`, `PROFILE` and `SLO`. [`Client::listing`] reads one.
+pub fn is_listing(request: &str) -> bool {
+    matches!(
+        verb_of(request.trim()),
+        "stats_suffix" | "stats_cluster" | "metrics" | "events" | "traces" | "profile" | "slo"
+    )
+}
+
 /// Rolls the sampler for one request: a sampled request gets a live
 /// context recording into the shared span ring, everything else the
 /// free [`TraceCtx::off`].
@@ -605,12 +615,6 @@ impl ServerHandle {
             conns: m.connections.get(),
             per_suffix: self.shared.backend.per_suffix(),
         }
-    }
-
-    /// True once a shutdown has been requested (e.g. by a client's
-    /// `SHUTDOWN` command).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Blocks until a shutdown is requested (a client's `SHUTDOWN`
@@ -1421,24 +1425,25 @@ impl Client {
         Ok(Client { reader: BufReader::new(stream), writer })
     }
 
-    /// Changes the read timeout on an open connection (`None` = block
-    /// forever).
-    pub fn set_timeout(&mut self, dur: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(dur)
+    /// Reads one response line, trimmed; an EOF is an error saying
+    /// where (`mid-batch`) the server closed.
+    fn read_response_line(&mut self, at: &str) -> std::io::Result<String> {
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("server closed {at}"),
+            ));
+        }
+        line.truncate(line.trim_end().len());
+        Ok(line)
     }
 
     /// Sends one request line and reads one response line (trimmed).
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
-        let mut resp = String::new();
-        if self.reader.read_line(&mut resp)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(resp.trim_end().to_string())
+        self.read_response_line("the connection")
     }
 
     /// Queries one hostname; returns the extracted ASN, if any.
@@ -1462,14 +1467,7 @@ impl Client {
             req.push('\n');
         }
         self.writer.write_all(req.as_bytes())?;
-        let mut header = String::new();
-        if self.reader.read_line(&mut header)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed before the batch header",
-            ));
-        }
-        let header = header.trim_end();
+        let header = self.read_response_line("before the batch header")?;
         let n: usize = match header.strip_prefix("ok\tbatch\t").map(str::parse) {
             Some(Ok(n)) => n,
             _ => {
@@ -1479,38 +1477,23 @@ impl Client {
                 ))
             }
         };
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed mid-batch",
-                ));
-            }
-            out.push(line.trim_end().to_string());
-        }
-        Ok(out)
+        (0..n).map(|_| self.read_response_line("mid-batch")).collect()
     }
 
-    /// Reads the remaining lines of a multi-line response (after
-    /// `STATS SUFFIX`) up to and excluding the `.` terminator.
-    pub fn read_until_dot(&mut self) -> std::io::Result<Vec<String>> {
-        let mut out = Vec::new();
-        loop {
-            let mut l = String::new();
-            if self.reader.read_line(&mut l)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed mid-response",
-                ));
-            }
-            let l = l.trim_end();
-            if l == "." {
-                return Ok(out);
-            }
-            out.push(l.to_string());
+    /// Sends one listing request ([`is_listing`]) and reads its lines up
+    /// to and excluding the `.` terminator. A refusal has no body: it
+    /// comes back as its one `err\t<message>` line.
+    pub fn listing(&mut self, request: &str) -> std::io::Result<Vec<String>> {
+        let mut line = self.request(request)?;
+        if line.starts_with("err\t") {
+            return Ok(vec![line]);
         }
+        let mut out = Vec::new();
+        while line != "." {
+            out.push(line);
+            line = self.read_response_line("mid-listing")?;
+        }
+        Ok(out)
     }
 }
 
@@ -1764,9 +1747,7 @@ mod tests {
         assert_eq!(c.query("as1.example.com").unwrap(), Some(1));
         assert_eq!(c.query("as2.example.com").unwrap(), Some(2));
         assert_eq!(c.query("nothing.example.org").unwrap(), None);
-        let first = c.request("METRICS").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("METRICS").unwrap();
         let text = lines.join("\n");
         assert!(
             text.contains("hoiho_requests_total{outcome=\"hit\",verb=\"query\"} 2"),
@@ -1783,9 +1764,7 @@ mod tests {
             "{text}"
         );
         // A second METRICS shows the first (counted after rendering).
-        let first = c.request("METRICS").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("METRICS").unwrap();
         let text = lines.join("\n");
         assert!(
             text.contains("hoiho_requests_total{outcome=\"ok\",verb=\"metrics\"} 1"),
@@ -1802,17 +1781,13 @@ mod tests {
         let mut c = Client::connect(srv.local_addr()).unwrap();
         c.query("as1.example.com").unwrap();
         c.query("as2.example.com").unwrap();
-        let first = c.request("EVENTS 1").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("EVENTS 1").unwrap();
         assert_eq!(lines.len(), 1, "{lines:?}");
         assert!(lines[0].contains("\"kind\":\"slow_query\""), "{}", lines[0]);
         assert!(lines[0].contains("\"request\":\"as2.example.com\""), "{}", lines[0]);
         // Bare EVENTS dumps the whole ring (two queries + the first
         // EVENTS, which was itself slow at threshold zero).
-        let first = c.request("EVENTS").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("EVENTS").unwrap();
         assert_eq!(lines.len(), 3, "{lines:?}");
         // Malformed count is an error.
         let resp = c.request("EVENTS many").unwrap();
@@ -1890,9 +1865,7 @@ mod tests {
         // Items count into the query totals; the batch counts once.
         let s = srv.stats();
         assert_eq!((s.hits, s.misses), (4, 2));
-        let first = c.request("METRICS").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("METRICS").unwrap();
         let text = lines.join("\n");
         assert!(
             text.contains("hoiho_requests_total{outcome=\"ok\",verb=\"batch\"} 1"),
@@ -1942,9 +1915,7 @@ mod tests {
         assert_eq!(c.request("EVENTS 0").unwrap(), ".");
         // An overlarge count clamps to "everything buffered" — here the
         // query plus the EVENTS 0 itself (slow at threshold zero).
-        let first = c.request(&format!("EVENTS {}", u64::MAX)).unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing(&format!("EVENTS {}", u64::MAX)).unwrap();
         assert_eq!(lines.len(), 2, "{lines:?}");
         // Garbage args are protocol errors that keep the connection.
         for bad in ["EVENTS -1", "EVENTS 1 2", "EVENTS 0x10"] {
@@ -2026,10 +1997,25 @@ mod tests {
         c.query("as1.example.com").unwrap();
         c.query("as2.example.com").unwrap();
         c.query("r9.other.net").unwrap();
-        let first = c.request("STATS SUFFIX").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("STATS SUFFIX").unwrap();
         assert_eq!(lines, vec!["example.com\t2".to_string(), "other.net\t1".to_string()]);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn listings_read_empty_bodies_and_refusals_in_sync() {
+        for r in ["STATS SUFFIX", "STATS CLUSTER", "METRICS", "EVENTS", "EVENTS 20", "TRACES 5"] {
+            assert!(is_listing(r), "{r}");
+        }
+        for r in ["STATS", "SHUTDOWN", "RELOAD /m", "BATCH 2", "EVENTSX", "as1.example.com"] {
+            assert!(!is_listing(r), "{r}");
+        }
+        let srv = start(&model("example.com", r"^as(\d+)\.example\.com$"), 1);
+        let mut c = Client::connect(srv.local_addr()).unwrap();
+        // Sampling is off, so the span ring is empty: a lone `.`.
+        assert!(c.listing("TRACES").unwrap().is_empty());
+        assert_eq!(c.listing("STATS CLUSTER").unwrap(), ["err\tnot a cluster backend"]);
+        assert_eq!(c.query("as1.example.com").unwrap(), Some(1), "stream stays in sync");
         srv.shutdown();
     }
 
@@ -2040,9 +2026,7 @@ mod tests {
         let mut c = Client::connect(srv.local_addr()).unwrap();
         assert_eq!(c.query("as1.example.com").unwrap(), Some(1));
         assert_eq!(c.query("nope.example.org").unwrap(), None);
-        let first = c.request("TRACES").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("TRACES").unwrap();
         let text = lines.join("\n");
         let spans = span::parse_jsonl(&text).unwrap();
         // Two sampled requests, each a server root + an engine child.
@@ -2073,9 +2057,7 @@ mod tests {
         srv.obs().sampler().configure(1, 7);
         let mut c = Client::connect(srv.local_addr()).unwrap();
         c.query("as1.example.com").unwrap();
-        let first = c.request("PROFILE").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("PROFILE").unwrap();
         let text = lines.join("\n");
         for p in Phase::ALL {
             assert!(
@@ -2095,9 +2077,7 @@ mod tests {
         let srv = start(&model("example.com", r"^as(\d+)\.example\.com$"), 1);
         let mut c = Client::connect(srv.local_addr()).unwrap();
         c.query("as1.example.com").unwrap();
-        let first = c.request("SLO").unwrap();
-        let mut lines = vec![first];
-        lines.extend(c.read_until_dot().unwrap());
+        let lines = c.listing("SLO").unwrap();
         assert_eq!(lines.len(), 2, "{lines:?}");
         for l in &lines {
             assert!(l.starts_with("slo\t"), "{l}");

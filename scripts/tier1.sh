@@ -116,6 +116,9 @@ trap cleanup EXIT
 start_server() {
     local log="$SMOKE_DIR/$1"
     shift
+    # Created before the launch: the backgrounded server opens the log
+    # itself, and the first poll below must not race that open.
+    : > "$log"
     "$SRV" serve "$@" 2> "$log" &
     SRV_PID=$!
     ADDR=

@@ -132,9 +132,8 @@ fn live_tcp_cluster_server_smoke() {
         client.query(h).expect("repeat query");
     }
 
-    let first = client.request("STATS CLUSTER").expect("stats cluster");
-    assert!(first.starts_with("shard\t0\t"), "bad STATS CLUSTER first line: {first}");
-    let rest = client.read_until_dot().expect("stats body");
+    let rest = client.listing("STATS CLUSTER").expect("stats cluster");
+    assert!(rest[0].starts_with("shard\t0\t"), "bad STATS CLUSTER first line: {rest:?}");
     assert!(rest.iter().any(|l| l.starts_with("shard\t1\t")), "missing shard 1: {rest:?}");
     let cache_line = rest
         .iter()

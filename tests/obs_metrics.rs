@@ -165,6 +165,11 @@ fn sum_series(lines: &[Line], name: &str) -> i128 {
         .sum()
 }
 
+/// Fetches one `METRICS` exposition, each line newline-terminated.
+fn metrics(client: &mut Client) -> String {
+    client.listing("METRICS").expect("metrics").iter().map(|l| format!("{l}\n")).collect()
+}
+
 // ---------------------------------------------------------------------------
 
 fn entry(suffix: &str, rx: &[&str]) -> ModelEntry {
@@ -222,14 +227,8 @@ fn metrics_exposition_accounts_scripted_traffic_exactly() {
     let n_requests = K + 3; // K+2 queries + 1 reload, all before METRICS
 
     // --- fetch and strictly parse the exposition.
-    let first = client.request("METRICS").expect("metrics");
-    assert!(first.starts_with("# TYPE "), "METRICS must open with a TYPE line: {first}");
-    let mut text = first;
-    text.push('\n');
-    for l in client.read_until_dot().expect("metrics body") {
-        text.push_str(&l);
-        text.push('\n');
-    }
+    let text = metrics(&mut client);
+    assert!(text.starts_with("# TYPE "), "METRICS must open with a TYPE line: {text}");
     let lines = parse(&text);
     assert_eq!(render(&lines), text, "parser must round-trip the exposition losslessly");
 
@@ -314,13 +313,7 @@ fn metrics_exposition_accounts_scripted_traffic_exactly() {
     );
 
     // --- a second METRICS now shows the first one (self-exclusion).
-    let first = client.request("METRICS").expect("metrics again");
-    let mut text2 = first;
-    text2.push('\n');
-    for l in client.read_until_dot().expect("metrics body again") {
-        text2.push_str(&l);
-        text2.push('\n');
-    }
+    let text2 = metrics(&mut client);
     let lines2 = parse(&text2);
     assert_eq!(
         value(&lines2, "hoiho_requests_total", &[("verb", "metrics"), ("outcome", "ok")]),
@@ -328,9 +321,7 @@ fn metrics_exposition_accounts_scripted_traffic_exactly() {
     );
 
     // --- EVENTS carries the reload trail (loopback client is admin).
-    let first = client.request("EVENTS 16").expect("events");
-    let mut events = vec![first];
-    events.extend(client.read_until_dot().expect("events body"));
+    let events = client.listing("EVENTS 16").expect("events");
     assert!(
         events.iter().any(|l| l.contains("\"kind\":\"shard_reload\"")),
         "event log must record the shard reload: {events:?}"
@@ -387,17 +378,11 @@ fn metrics_stays_parseable_and_monotone_under_concurrent_reloads() {
         for i in 0..FETCHES {
             // Interleave a little query traffic so counters move.
             client.query("a.b.as64500.equinix.com").expect("query under storm");
-            let first = client.request("METRICS").expect("metrics under storm");
+            let text = metrics(&mut client);
             assert!(
-                first.starts_with("# TYPE "),
-                "fetch {i}: METRICS must open with a TYPE line: {first}"
+                text.starts_with("# TYPE "),
+                "fetch {i}: METRICS must open with a TYPE line: {text}"
             );
-            let mut text = first;
-            text.push('\n');
-            for l in client.read_until_dot().expect("metrics body under storm") {
-                text.push_str(&l);
-                text.push('\n');
-            }
             let lines = parse(&text);
             assert_eq!(
                 render(&lines),
@@ -417,13 +402,7 @@ fn metrics_stays_parseable_and_monotone_under_concurrent_reloads() {
     // After the storm: reload counters sum to exactly the scripted
     // total and the server still answers.
     let mut client = Client::connect(addr).expect("post-storm connect");
-    let first = client.request("METRICS").expect("post-storm metrics");
-    let mut text = first;
-    text.push('\n');
-    for l in client.read_until_dot().expect("post-storm metrics body") {
-        text.push_str(&l);
-        text.push('\n');
-    }
+    let text = metrics(&mut client);
     let lines = parse(&text);
     assert_eq!(
         sum_series(&lines, "hoiho_shard_reloads_total"),

@@ -76,16 +76,7 @@ fn run_script() -> Vec<ReqSpan> {
         let resp = client.request(host).expect("query");
         assert!(resp.starts_with(host), "echo intact: {resp:?}");
     }
-    let first = client.request("TRACES").expect("traces");
-    let mut jsonl = String::new();
-    if first != "." {
-        jsonl.push_str(&first);
-        jsonl.push('\n');
-        for l in client.read_until_dot().expect("traces body") {
-            jsonl.push_str(&l);
-            jsonl.push('\n');
-        }
-    }
+    let jsonl = client.listing("TRACES").expect("traces").join("\n");
     srv.shutdown();
     span::parse_jsonl(&jsonl).expect("TRACES dump reparses")
 }
@@ -207,7 +198,7 @@ fn fixed_seed_reproduces_identical_span_sets() {
 fn dump_converts_to_chrome_and_collapsed_forms() {
     let spans = run_script();
     let chrome = span::to_chrome_json(&spans);
-    assert!(chrome.starts_with("{\"displayTimeUnit\""), "Chrome trace document wrapper");
+    assert!(chrome.starts_with("{\"traceEvents\":["), "Chrome trace document wrapper");
     assert!(chrome.contains("server:query"), "frames are layer:detail");
     assert!(chrome.contains("\"ph\":\"X\""), "complete events");
     let collapsed = span::to_collapsed(&spans);
