@@ -196,15 +196,26 @@ pub fn regex_hit_cached(
     host: &HostObs,
     cache: &mut Option<((usize, usize), Outcome)>,
 ) -> Option<Outcome> {
-    let (s, e) = program.match_capture(&host.hostname)??;
-    if let Some((span, out)) = cache {
-        if *span == (s, e) {
-            return Some(*out);
+    let span = program.match_capture(&host.hostname)??;
+    Some(hit_outcome(host, span, cache))
+}
+
+/// The outcome of a hit on `host` whose capture spans `span`, through
+/// the same one-entry span cache as [`regex_hit_cached`]. The learner's
+/// classes phase reads the span off a trace it already ran.
+pub(crate) fn hit_outcome(
+    host: &HostObs,
+    span: (usize, usize),
+    cache: &mut Option<((usize, usize), Outcome)>,
+) -> Outcome {
+    if let Some((cached, out)) = cache {
+        if *cached == span {
+            return *out;
         }
     }
-    let out = classify_capture(host, s, e);
-    *cache = Some(((s, e), out));
-    Some(out)
+    let out = classify_capture(host, span.0, span.1);
+    *cache = Some((span, out));
+    out
 }
 
 /// Evaluates an ordered regex list over a hostname set.

@@ -6,9 +6,9 @@ use crate::classify::{classify, is_single, NcClass};
 use crate::convention::NamingConvention;
 use crate::eval::Counts;
 use crate::phases::base::{self, BaseConfig};
-use crate::phases::classes::embed_classes;
+use crate::phases::classes::embed_classes_handoff;
 use crate::phases::merge::merge;
-use crate::phases::sets::{build_sets_stats, SetsConfig};
+use crate::phases::sets::{build_sets_from_hits, build_sets_stats, SetsConfig, SetsStats};
 use crate::select::select_best;
 use crate::taxonomy::{taxonomy_of, Taxonomy};
 use crate::training::SuffixTraining;
@@ -103,11 +103,16 @@ pub fn learn_suffix_traced(
         pool.extend(merge(&pool));
         dedup(&mut pool);
     }
-    // Phase 3: embed character classes (§3.4).
+    // Phase 3: embed character classes (§3.4). Tracing the pool for it
+    // also yields every pooled regex's hits, which phase 4 takes over.
+    let mut handed = None;
     if cfg.enable_classes {
-        let _s = span("classes");
-        pool.extend(embed_classes(&pool, &st.hosts));
-        dedup(&mut pool);
+        let mut _s = span("classes");
+        let (hits, runs) = embed_classes_handoff(&mut pool, &st.hosts);
+        if let Some(g) = _s.as_mut() {
+            g.arg("dispatched", &runs.to_string());
+        }
+        handed = Some(hits);
     }
     // Phase 4: regex sets (§3.5), then selection (§3.6).
     let sets_cfg = if cfg.enable_sets {
@@ -117,8 +122,8 @@ pub fn learn_suffix_traced(
     };
     let candidates = {
         // The sets span also records the workload size, so `--trace`
-        // output shows how many (regex, host) pairs the screen let
-        // through.
+        // output shows how many (regex, host) pairs ran: none when the
+        // classes phase handed its hits over.
         let pool_size = pool.len().to_string();
         let host_count = st.hosts.len().to_string();
         let mut _s = tracer.map(|t| {
@@ -127,7 +132,12 @@ pub fn learn_suffix_traced(
                 &[("suffix", suffix), ("pool_size", &pool_size), ("hosts", &host_count)],
             )
         });
-        let (candidates, stats) = build_sets_stats(&pool, &st.hosts, &sets_cfg);
+        let (candidates, stats) = match &handed {
+            Some(hits) => {
+                (build_sets_from_hits(&pool, hits, &st.hosts, &sets_cfg), SetsStats::default())
+            }
+            None => build_sets_stats(&pool, &st.hosts, &sets_cfg),
+        };
         if let Some(g) = _s.as_mut() {
             g.arg("dispatched", &stats.dispatched.to_string());
         }
@@ -374,6 +384,75 @@ mod tests {
         for (u, t) in untraced.iter().zip(&learned) {
             assert_eq!(u.convention, t.convention);
             assert_eq!(u.counts, t.counts);
+        }
+    }
+
+    /// Figure 4's Equinix training data, hostnames a–p.
+    fn figure4() -> SuffixTraining {
+        let rows: &[(&str, u32)] = &[
+            ("109.sgw.equinix.com", 109),
+            ("714.os.equinix.com", 714),
+            ("714.me1.equinix.com", 714),
+            ("p714.sgw.equinix.com", 714),
+            ("s714.sgw.equinix.com", 714),
+            ("p24115.mel.equinix.com", 24115),
+            ("s24115.tyo.equinix.com", 24115),
+            ("22822-2.tyo.equinix.com", 22282),
+            ("24482-fr5-ix.equinix.com", 24482),
+            ("54827-dc5-ix2.equinix.com", 54827),
+            ("55247-ch3-ix.equinix.com", 55247),
+            ("netflix.zh2.corp.eu.equinix.com", 2906),
+            ("ipv4.dosarrest.eqix.equinix.com", 19324),
+            ("8069.tyo.equinix.com", 8075),
+            ("8074.hkg.equinix.com", 8075),
+            ("45437-sy1-ix.equinix.com", 55923),
+        ];
+        let obs: Vec<Observation> =
+            rows.iter().map(|&(h, a)| Observation::new(h, [198, 51, 100, 9], a)).collect();
+        SuffixTraining::build("equinix.com", &obs)
+    }
+
+    /// The `as<asn>-<iface>.<pop>.bigco.net` suffix of the learner gates
+    /// in `tests/alloc_free.rs`.
+    fn big_suffix(hostnames: usize) -> SuffixTraining {
+        let pops = ["fra", "lhr", "ams", "nyc", "sin"];
+        let ifaces = ["ae1", "xe-0-0-1", "te0-7", "ge2-0"];
+        let obs: Vec<Observation> = (0..hostnames)
+            .map(|i| {
+                let asn = 60000 + (i as u32 % 700);
+                let (iface, pop) = (ifaces[i % ifaces.len()], pops[i % pops.len()]);
+                let h = format!("as{asn}-{iface}.{pop}{}.bigco.net", i % 3);
+                Observation::new(&h, [192, 0, 2, (i % 250) as u8], asn)
+            })
+            .collect();
+        SuffixTraining::build("bigco.net", &obs)
+    }
+
+    /// The hits the classes phase hands over are exactly the hits a
+    /// fresh [`Hits::collect`] finds over the final pool, cell for cell
+    /// and in order, on either side of the candidate screen's
+    /// threshold: the traced span at the capture is the capture, and a
+    /// specialised regex matches only hosts its parent matched.
+    #[test]
+    fn handed_over_hits_equal_a_fresh_collect_over_the_final_pool() {
+        use crate::phases::sets::Hits;
+        use crate::regex::{CompiledRegex, DISPATCH_MIN_CELLS};
+        let cfg = LearnConfig::default();
+        for (label, st, screened) in [
+            ("Figure 4", figure4(), false),
+            ("big_suffix(120)", big_suffix(120), false),
+            ("big_suffix(400)", big_suffix(400), true),
+        ] {
+            let mut pool = base::generate(&st, &cfg.base);
+            pool.extend(merge(&pool));
+            dedup(&mut pool);
+            let cells = pool.len() * st.hosts.len();
+            assert_eq!(cells >= DISPATCH_MIN_CELLS, screened, "{label}: {cells} cells");
+            let before = pool.len();
+            let (handed, _) = embed_classes_handoff(&mut pool, &st.hosts);
+            assert!(pool.len() > before, "{label}: classes added nothing");
+            let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
+            assert_eq!(handed, Hits::collect(&programs, &st.hosts).0, "{label}");
         }
     }
 

@@ -19,13 +19,18 @@
 //! The suffix always stays a literal, and `$` is always present. The
 //! cartesian expansion over per-portion choices is budget-capped for
 //! hostnames with pathological punctuation structure.
+//!
+//! Most generated variants repeat one an earlier hostname produced. A
+//! variant is expanded as borrowed elements and keyed by an injective
+//! byte encoding of the regex it would build, so only a first-seen
+//! variant allocates a [`Regex`]; the output keeps first-seen order.
 
 use crate::apparent::{congruence, digit_runs};
 use crate::iputil::overlaps_any;
 use crate::label::{structure_of, Portion, SpanLocation, Structure};
 use crate::regex::{Elem, Regex};
 use crate::training::{HostObs, SuffixTraining};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashSet};
 
 /// Tunables for base generation; see [`crate::learner::LearnConfig`] for
 /// the top-level knobs that feed these.
@@ -55,11 +60,15 @@ enum Slot {
 /// Generates the deduplicated base regexes for a suffix, in the order
 /// they were first generated.
 pub fn generate(st: &SuffixTraining, cfg: &BaseConfig) -> Vec<Regex> {
-    // Each distinct regex (by element sequence) with its first-seen rank.
-    #[allow(clippy::mutable_key_type)] // a `Regex` hashes and compares by its elements only
-    let mut seen: HashMap<Regex, usize> = HashMap::new();
+    let mut distinct = Distinct {
+        seen: HashSet::new(),
+        key: Vec::new(),
+        out: Vec::new(),
+        cap: cfg.max_base_regexes,
+        full: false,
+    };
     let mut donors: BTreeSet<String> = BTreeSet::new();
-    'hosts: for host in sample_hosts(st, cfg.max_gen_hosts) {
+    for host in sample_hosts(st, cfg.max_gen_hosts) {
         let local = host.local.as_str();
         if local.is_empty() {
             continue;
@@ -79,17 +88,108 @@ pub fn generate(st: &SuffixTraining, cfg: &BaseConfig) -> Vec<Regex> {
         if !donors.insert(donor_key(local, &spans)) {
             continue;
         }
-        for r in host_regexes(local, &structure, &spans, &st.suffix, cfg) {
-            if seen.len() >= cfg.max_base_regexes {
-                break 'hosts;
-            }
-            let rank = seen.len();
-            seen.entry(r).or_insert(rank);
+        for &(s, e) in &spans {
+            let Some(loc) = structure.locate(s, e) else { continue };
+            let suffix = st.suffix.as_str();
+            let gen = CandidateGen { local, structure: &structure, suffix, span: (s, e), loc };
+            gen.generate(cfg, &mut distinct);
+        }
+        if distinct.full {
+            break;
         }
     }
-    let mut out: Vec<(usize, Regex)> = seen.into_iter().map(|(r, rank)| (rank, r)).collect();
-    out.sort_unstable_by_key(|&(rank, _)| rank);
-    out.into_iter().map(|(_, r)| r).collect()
+    distinct.out
+}
+
+/// The distinct generated regexes, in first-generated order. A variant
+/// is keyed by its normalised elements before any [`Regex`] is built,
+/// so a duplicate costs no allocation.
+struct Distinct {
+    /// Keys of the regexes in `out`.
+    seen: HashSet<Box<[u8]>>,
+    /// The key buffer, reused across variants.
+    key: Vec<u8>,
+    out: Vec<Regex>,
+    /// `max_base_regexes`.
+    cap: usize,
+    /// Set when a variant arrives with `cap` regexes kept: generation
+    /// stops for every host.
+    full: bool,
+}
+
+impl Distinct {
+    /// Keeps `elems` as a regex unless an equal one is kept already.
+    fn offer(&mut self, elems: &[&Elem]) {
+        if self.out.len() >= self.cap {
+            self.full = true;
+            return;
+        }
+        key_into(elems, &mut self.key);
+        if !self.seen.contains(self.key.as_slice()) {
+            self.seen.insert(self.key.as_slice().into());
+            self.out.push(Regex::new(elems.iter().map(|&e| e.clone()).collect()));
+        }
+    }
+}
+
+/// Writes an injective byte key of the regex `Regex::new(elems)` would
+/// build: adjacent literals coalesce and empty ones vanish, as there.
+/// Each element is a tag byte; every payload is length-prefixed, since
+/// a training file's hostnames may hold any byte.
+fn key_into(elems: &[&Elem], key: &mut Vec<u8>) {
+    /// Closes the open literal run whose length field sits at `at`:
+    /// patches the length, or removes the run when it is empty.
+    fn close(key: &mut Vec<u8>, at: Option<usize>) {
+        if let Some(at) = at {
+            match key.len() - at - 4 {
+                0 => key.truncate(at - 1),
+                n => key[at..at + 4].copy_from_slice(&(n as u32).to_le_bytes()),
+            }
+        }
+    }
+    fn payload(key: &mut Vec<u8>, bytes: &[u8]) {
+        key.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        key.extend_from_slice(bytes);
+    }
+    key.clear();
+    let mut lit_at = None;
+    for &e in elems {
+        if let Elem::Lit(l) = e {
+            // Tag 0, then a length field that `close` patches.
+            lit_at.get_or_insert_with(|| {
+                key.extend_from_slice(&[0; 5]);
+                key.len() - 4
+            });
+            key.extend_from_slice(l.as_bytes());
+            continue;
+        }
+        close(key, lit_at.take());
+        match e {
+            Elem::StartAnchor => key.push(1),
+            Elem::EndAnchor => key.push(2),
+            Elem::CaptureDigits => key.push(3),
+            Elem::Digits => key.push(4),
+            Elem::Any => key.push(5),
+            Elem::NotIn(set) => {
+                key.push(6);
+                payload(key, set.as_bytes());
+            }
+            Elem::Class(c) => {
+                let bits = u8::from(c.lower) | u8::from(c.digit) << 1 | u8::from(c.hyphen) << 2;
+                key.extend_from_slice(&[7, bits]);
+            }
+            Elem::Alt(a) => {
+                key.push(8);
+                key.extend_from_slice(&(a.opts.len() as u32).to_le_bytes());
+                for o in &a.opts {
+                    payload(key, o.as_bytes());
+                }
+                key.push(u8::from(a.optional));
+            }
+            Elem::Lit(_) => unreachable!("literals open a run above"),
+        }
+    }
+    close(key, lit_at);
 }
 
 /// The local part with every candidate span masked to one `#` — a byte
@@ -118,23 +218,6 @@ fn sample_hosts(st: &SuffixTraining, max: usize) -> Vec<&HostObs> {
     (0..max).map(|i| candidates[(i as f64 * step) as usize]).collect()
 }
 
-/// Generates base regexes for a single donor hostname's local part.
-fn host_regexes(
-    local: &str,
-    structure: &Structure,
-    spans: &[(usize, usize)],
-    suffix: &str,
-    cfg: &BaseConfig,
-) -> Vec<Regex> {
-    let mut out = Vec::new();
-    for &(s, e) in spans {
-        let Some(loc) = structure.locate(s, e) else { continue };
-        let gen = CandidateGen { local, structure, suffix, span: (s, e), loc };
-        gen.generate(cfg, &mut out);
-    }
-    out
-}
-
 /// Digit runs in the local part that are congruent with the training ASN
 /// and outside any embedded IP span.
 fn candidate_spans(host: &HostObs, local_len: usize) -> Vec<(usize, usize)> {
@@ -156,7 +239,7 @@ struct CandidateGen<'a> {
 }
 
 impl CandidateGen<'_> {
-    fn generate(&self, cfg: &BaseConfig, out: &mut Vec<Regex>) {
+    fn generate(&self, cfg: &BaseConfig, out: &mut Distinct) {
         let budget = cfg.max_variants_per_candidate;
         // Template A: fully anchored, all structure represented.
         expand(&self.template_anchored(), budget, out);
@@ -369,45 +452,39 @@ impl CandidateGen<'_> {
     }
 }
 
-/// Expands a template's cartesian product of choices into regexes,
-/// stopping at `budget` variants.
-fn expand(slots: &[Slot], budget: usize, out: &mut Vec<Regex>) {
-    let mut acc: Vec<Elem> = Vec::new();
+/// Expands a template's cartesian product of choices into `out`,
+/// stopping at `budget` variants (duplicates count) or when `out` is
+/// full. Variants are built as borrowed elements in one accumulator.
+fn expand(slots: &[Slot], budget: usize, out: &mut Distinct) {
+    let mut acc: Vec<&Elem> = Vec::new();
     let mut produced = 0usize;
-    expand_rec(slots, 0, &mut acc, budget, &mut produced, out);
+    expand_rec(slots, &mut acc, budget, &mut produced, out);
 }
 
-fn expand_rec(
-    slots: &[Slot],
-    i: usize,
-    acc: &mut Vec<Elem>,
+fn expand_rec<'a>(
+    slots: &'a [Slot],
+    acc: &mut Vec<&'a Elem>,
     budget: usize,
     produced: &mut usize,
-    out: &mut Vec<Regex>,
+    out: &mut Distinct,
 ) {
-    if *produced >= budget {
+    if *produced >= budget || out.full {
         return;
     }
-    if i == slots.len() {
-        out.push(Regex::new(acc.clone()));
+    let Some((slot, rest)) = slots.split_first() else {
+        out.offer(acc);
         *produced += 1;
         return;
-    }
-    match &slots[i] {
-        Slot::Fixed(elems) => {
-            let mark = acc.len();
-            acc.extend(elems.iter().cloned());
-            expand_rec(slots, i + 1, acc, budget, produced, out);
-            acc.truncate(mark);
-        }
-        Slot::Choice(opts) => {
-            for opt in opts {
-                let mark = acc.len();
-                acc.extend(opt.iter().cloned());
-                expand_rec(slots, i + 1, acc, budget, produced, out);
-                acc.truncate(mark);
-            }
-        }
+    };
+    let opts = match slot {
+        Slot::Fixed(elems) => std::slice::from_ref(elems),
+        Slot::Choice(opts) => &opts[..],
+    };
+    for opt in opts {
+        let mark = acc.len();
+        acc.extend(opt);
+        expand_rec(rest, acc, budget, produced, out);
+        acc.truncate(mark);
     }
 }
 
@@ -517,6 +594,52 @@ mod tests {
         let got = generate(&st, &cfg);
         assert!(!got.is_empty());
         assert!(got.len() <= 4 * 8, "{}", got.len());
+    }
+
+    /// Two element sequences share a key exactly when `Regex::new`
+    /// builds equal regexes from them: literal runs coalesce and empty
+    /// literals vanish, and no payload bytes can pass for structure.
+    #[test]
+    fn variant_keys_are_equal_exactly_when_the_regexes_are() {
+        let lit = |s: &str| Elem::Lit(s.to_string());
+        let not_in = |s: &str| Elem::NotIn(s.to_string());
+        let class = Elem::Class(crate::regex::CharClass { lower: true, digit: true, hyphen: false });
+        let alt = |opts: &[&str], optional| {
+            let opts = opts.iter().map(|o| o.to_string()).collect();
+            Elem::Alt(crate::regex::AltGroup { opts, optional })
+        };
+        let seqs: Vec<Vec<Elem>> = vec![
+            vec![lit("ab"), Elem::CaptureDigits],
+            vec![lit("a"), lit("b"), Elem::CaptureDigits],
+            vec![lit(""), lit("a"), lit(""), lit("b"), Elem::CaptureDigits, lit("")],
+            vec![lit("a"), not_in("b"), Elem::CaptureDigits],
+            // A literal spelling another sequence's tag and length bytes.
+            vec![lit("a\u{6}\u{1}\0\0\0b"), Elem::CaptureDigits],
+            vec![lit("a\u{6}"), Elem::CaptureDigits],
+            vec![lit("a"), Elem::Digits, Elem::CaptureDigits],
+            vec![Elem::StartAnchor, Elem::CaptureDigits, Elem::EndAnchor],
+            vec![Elem::CaptureDigits, Elem::Any, class.clone()],
+            vec![Elem::CaptureDigits, class, Elem::Any],
+            vec![alt(&["p", "s"], true), Elem::CaptureDigits],
+            vec![alt(&["p", "s"], false), Elem::CaptureDigits],
+            vec![alt(&["ps"], true), Elem::CaptureDigits],
+            vec![not_in(".-"), Elem::CaptureDigits],
+            vec![not_in("."), lit("-"), Elem::CaptureDigits],
+            vec![],
+            vec![lit("")],
+        ];
+        let key = |seq: &[Elem]| {
+            let refs: Vec<&Elem> = seq.iter().collect();
+            let mut k = Vec::new();
+            key_into(&refs, &mut k);
+            k
+        };
+        for a in &seqs {
+            for b in &seqs {
+                let same_regex = Regex::new(a.clone()) == Regex::new(b.clone());
+                assert_eq!(key(a) == key(b), same_regex, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

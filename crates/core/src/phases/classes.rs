@@ -20,43 +20,144 @@
 //! (`regex::multi::screen`) hands it. A host left out cannot match the
 //! regex, so it would contribute no substring, and the specialised
 //! output is identical to tracing every pair.
+//!
+//! In the learner this phase also does the sets phase's evaluation
+//! (`embed_classes_handoff`): a match's trace span at the capture
+//! element is its capture, so each traced regex's `(host, outcome)`
+//! hits cost no second run, and each new specialised regex runs only on
+//! the hosts its parent matched — a specialisation narrows components
+//! to bytes they matched, so it matches no host its parent missed.
+//! [`embed_classes`] and the learner share one specialise loop.
 
+use crate::eval::{hit_outcome, regex_hit_cached, Outcome};
+use crate::phases::sets::{prefilter_skips, Hits};
 use crate::regex::{screen, CharClass, CompiledRegex, Elem, Regex};
 use crate::training::HostObs;
+use std::collections::HashSet;
 
 /// Maximum run-sequence length worth emitting; longer sequences are
 /// almost certainly over-fitted to a handful of hostnames.
 const MAX_SEQUENCE: usize = 4;
 
 /// Specialises each regex in `pool` against the matched hostnames.
-/// Returns only the newly created regexes.
+/// Returns only the newly created regexes, in text order.
 pub fn embed_classes(pool: &[Regex], hosts: &[HostObs]) -> Vec<Regex> {
+    specialise_pool(pool, hosts, None).into_iter().map(|(r, _)| r).collect()
+}
+
+/// The learner's classes phase: [`embed_classes`] that appends the new
+/// regexes not already pooled to `pool`, and returns every pooled
+/// regex's hits (the old pool's, then the new regexes') for
+/// [`crate::phases::sets::build_sets_from_hits`], with the number of
+/// program runs it took.
+///
+/// The old pool's hits come from the traces the specialisation runs
+/// anyway. Each new regex runs only on the hosts its parent matched: a
+/// specialisation narrows components to bytes they already matched, so
+/// it can match no host its parent missed.
+pub(crate) fn embed_classes_handoff(pool: &mut Vec<Regex>, hosts: &[HostObs]) -> (Hits, u64) {
+    let mut lineage = Lineage {
+        hits: Hits::new(),
+        matched_starts: vec![0],
+        matched: Vec::new(),
+        span_cache: vec![None; hosts.len()],
+        runs: 0,
+    };
+    let children = specialise_pool(pool, hosts, Some(&mut lineage));
+    let pooled: HashSet<&[Elem]> = pool.iter().map(|r| r.elems()).collect();
+    let fresh: Vec<(Regex, usize)> =
+        children.into_iter().filter(|(c, _)| !pooled.contains(c.elems())).collect();
+    let l = &mut lineage;
+    for (child, parent) in &fresh {
+        let program = child.program();
+        let parent_matched = &l.matched[l.matched_starts[*parent]..l.matched_starts[parent + 1]];
+        l.runs += parent_matched.len() as u64;
+        for &hi in parent_matched {
+            let (h, cache) = (&hosts[hi as usize], &mut l.span_cache[hi as usize]);
+            if let Some(o) = regex_hit_cached(program, h, cache) {
+                l.hits.push(hi, o);
+            }
+        }
+        l.hits.close();
+    }
+    pool.extend(fresh.into_iter().map(|(c, _)| c));
+    (lineage.hits, lineage.runs)
+}
+
+/// What the learner keeps from tracing the pool: each regex's hits and
+/// the hosts it matched (regex `ri`'s are
+/// `matched[matched_starts[ri]..matched_starts[ri + 1]]`, in host
+/// order), one span cache entry per host, and the program runs so far.
+struct Lineage {
+    hits: Hits,
+    matched_starts: Vec<usize>,
+    matched: Vec<u32>,
+    span_cache: Vec<Option<((usize, usize), Outcome)>>,
+    runs: u64,
+}
+
+/// The one specialise loop: traces each pooled regex over the hosts
+/// the candidate screen hands it, and returns each distinct
+/// specialisation with the index of the first regex that produced it,
+/// in text order. With a [`Lineage`], also records what the traces
+/// show: a match's span at the capture element is its capture, so the
+/// hit costs no second run.
+fn specialise_pool(
+    pool: &[Regex],
+    hosts: &[HostObs],
+    mut lineage: Option<&mut Lineage>,
+) -> Vec<(Regex, usize)> {
     let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
     let screen = screen(&programs, hosts.iter().map(|h| h.hostname.as_bytes()));
-    let mut out: Vec<Regex> = pool
-        .iter()
-        .enumerate()
-        .filter_map(|(ri, r)| {
-            let candidates = screen.hosts(ri).iter().map(|&hi| &hosts[hi as usize]);
-            specialise_hosts(r, candidates).filter(|s| s != r)
-        })
-        .collect();
-    out.sort_by_cached_key(|r| r.to_string());
-    out.dedup();
+    if let Some(l) = lineage.as_deref_mut() {
+        l.runs += screen.dispatched();
+        prefilter_skips().add(screen.skipped());
+    }
+    let mut trace: Vec<(usize, usize)> = Vec::new();
+    let mut out: Vec<(Regex, usize)> = Vec::new();
+    for (ri, r) in pool.iter().enumerate() {
+        let capture = r.capture_index();
+        let candidates = screen.hosts(ri).iter().map(|&hi| (hi, &hosts[hi as usize]));
+        let child = specialise_hosts(r, candidates, &mut trace, |hi, h, spans| {
+            if let Some(l) = lineage.as_deref_mut() {
+                l.matched.push(hi);
+                if let Some(c) = capture {
+                    let o = hit_outcome(h, spans[c], &mut l.span_cache[hi as usize]);
+                    l.hits.push(hi, o);
+                }
+            }
+        });
+        if let Some(l) = lineage.as_deref_mut() {
+            l.hits.close();
+            l.matched_starts.push(l.matched.len());
+        }
+        if let Some(c) = child.filter(|c| c != r) {
+            out.push((c, ri));
+        }
+    }
+    out.sort_by_cached_key(|(r, _)| r.to_string());
+    out.dedup_by(|a, b| a.0 == b.0);
     out
 }
 
 /// Builds the specialised variant of one regex, or `None` when the regex
 /// matched nothing or nothing could be specialised.
 pub fn specialise(regex: &Regex, hosts: &[HostObs]) -> Option<Regex> {
-    specialise_hosts(regex, hosts.iter())
+    let hosts = hosts.iter().enumerate().map(|(hi, h)| (hi as u32, h));
+    specialise_hosts(regex, hosts, &mut Vec::new(), |_, _, _| {})
 }
 
+/// Traces `regex` over `hosts` (host index, host) into the reused
+/// `trace` buffer, hands every match's spans to `on_match`, and
+/// specialises from the matched substrings.
 fn specialise_hosts<'a>(
     regex: &Regex,
-    hosts: impl Iterator<Item = &'a HostObs>,
+    hosts: impl Iterator<Item = (u32, &'a HostObs)>,
+    trace: &mut Vec<(usize, usize)>,
+    mut on_match: impl FnMut(u32, &'a HostObs, &[(usize, usize)]),
 ) -> Option<Regex> {
     let elems = regex.elems();
+    let specialisable = |e: &Elem| matches!(e, Elem::NotIn(_) | Elem::Any);
     // Collected matched substrings per element index, borrowed from the
     // hostnames — specialisation only inspects them, so no copies.
     let mut matched: Vec<Vec<&'a str>> = vec![Vec::new(); elems.len()];
@@ -65,17 +166,14 @@ fn specialise_hosts<'a>(
     // set (and across phases); compiled traces are bit-identical to the
     // interpreter's.
     let program = regex.program();
-    // Only the span buffer is needed (no captures), reused across the
-    // whole hostname set — `find_trace_into` is the allocation-free
-    // form of `find_trace`.
-    let mut trace: Vec<(usize, usize)> = Vec::new();
-    for h in hosts {
-        if !program.find_trace_into(&h.hostname, &mut trace) {
+    for (hi, h) in hosts {
+        if !program.find_trace_into(&h.hostname, trace) {
             continue;
         }
         any = true;
+        on_match(hi, h, trace);
         for (i, e) in elems.iter().enumerate() {
-            if matches!(e, Elem::NotIn(_) | Elem::Any) {
+            if specialisable(e) {
                 let (s, eo) = trace[i];
                 matched[i].push(&h.hostname[s..eo]);
             }
@@ -84,27 +182,18 @@ fn specialise_hosts<'a>(
     if !any {
         return None;
     }
-    let mut changed = false;
-    let mut new_elems: Vec<Elem> = Vec::new();
+    // The elements are copied only once some component specialises.
+    let mut new_elems: Option<Vec<Elem>> = None;
     for (i, e) in elems.iter().enumerate() {
-        match e {
-            Elem::NotIn(_) | Elem::Any if !matched[i].is_empty() => {
-                match replacement(&matched[i]) {
-                    Some(repl) => {
-                        changed = true;
-                        new_elems.extend(repl);
-                    }
-                    None => new_elems.push(e.clone()),
-                }
-            }
-            _ => new_elems.push(e.clone()),
+        let repl = if specialisable(e) { replacement(&matched[i]) } else { None };
+        match (repl, &mut new_elems) {
+            (Some(repl), None) => new_elems = Some([&elems[..i], &repl[..]].concat()),
+            (Some(repl), Some(out)) => out.extend(repl),
+            (None, Some(out)) => out.push(e.clone()),
+            (None, None) => {}
         }
     }
-    if changed {
-        Some(Regex::new(new_elems))
-    } else {
-        None
-    }
+    new_elems.map(Regex::new)
 }
 
 /// Run type codes packed into [`RunSig::types`], two bits per run.

@@ -13,13 +13,19 @@
 //!
 //! Set semantics are first-match-wins per hostname, so a trial set's
 //! `Counts` is fully determined by each member regex's *individual*
-//! per-host outcome. The builder therefore evaluates every pooled
-//! regex at most once per host — through its compiled program
-//! ([`crate::regex::CompiledRegex`]) — and keeps only its *hits*: the
-//! `(host, outcome)` pairs where it matched with a capture, which is
-//! when it would claim the host in a set. A host no regex claims is FN
-//! or TN by `has_apparent` alone, so a regex's `Counts` fold from its
-//! hits and the suffix's count of apparent hosts.
+//! per-host outcome. The builder therefore needs each pooled regex's
+//! *hits* only: the `(host, outcome)` pairs where it matched with a
+//! capture, which is when it would claim the host in a set. A host no
+//! regex claims is FN or TN by `has_apparent` alone, so a regex's
+//! `Counts` fold from its hits and the suffix's count of apparent
+//! hosts.
+//!
+//! In the learner the classes phase hands the hits over: it read them
+//! off the traces it ran anyway (see `phases::classes`), so this phase
+//! runs no matcher at all. [`build_sets_stats`] — the public entry, and
+//! the learner's when the classes phase is ablated — collects them
+//! itself, evaluating every pooled regex at most once per host through
+//! its compiled program ([`crate::regex::CompiledRegex`]).
 //!
 //! Ranking sorts by the numeric key (ATP, TP, FP, memorised text,
 //! component strength) and renders a regex's text only to break a tie
@@ -29,14 +35,16 @@
 //! current set's tally plus popcounts of the candidate's bits on the
 //! hosts the set leaves open. No matcher runs during greedy extension.
 //!
-//! Each regex is evaluated only on the hosts the candidate screen
-//! (`regex::multi::screen`) hands it: every host for a pool below
-//! [`DISPATCH_MIN_CELLS`](crate::regex::DISPATCH_MIN_CELLS) cells, and
-//! otherwise the hosts a pool-wide Aho–Corasick automaton over every
-//! program's required literals dispatches it to. A skipped pair is
-//! provably no hit (a missing required literal rules the match out), so
-//! the hits are identical to evaluating every pair; the skip volume is
-//! exported as `hoiho_learn_prefilter_skips_total`.
+//! Either way, a pooled regex is evaluated only on the hosts the
+//! candidate screen (`regex::multi::screen`) hands it: every host for a
+//! pool below [`DISPATCH_MIN_CELLS`](crate::regex::DISPATCH_MIN_CELLS)
+//! cells, and otherwise the hosts a pool-wide Aho–Corasick automaton
+//! over every program's required literals dispatches it to. A skipped
+//! pair is provably no hit (a missing required literal rules the match
+//! out), so the hits are identical to evaluating every pair; the skip
+//! volume is exported as `hoiho_learn_prefilter_skips_total`. (The
+//! learner runs a specialised regex only on its parent's matched hosts,
+//! a narrower set still.)
 //!
 //! This is the only set builder. `tests/compiled_equiv.rs` keeps the
 //! paper's direct algorithm — re-evaluate every trial set in full, rank
@@ -107,7 +115,7 @@ fn eval_counters() -> &'static (Counter, Counter) {
 /// evaluations the pool-wide literal dispatch proved unnecessary. Read
 /// next to `hoiho_learn_evaluations_total{phase="rank"}` to see the
 /// fraction of the pairs the automaton skipped.
-fn prefilter_skips() -> &'static Counter {
+pub(crate) fn prefilter_skips() -> &'static Counter {
     static COUNTER: OnceLock<Counter> = OnceLock::new();
     COUNTER.get_or_init(|| {
         hoiho_obs::global().registry().counter("hoiho_learn_prefilter_skips_total", &[])
@@ -125,39 +133,62 @@ pub fn build_sets(pool: &[Regex], hosts: &[HostObs], cfg: &SetsConfig) -> Vec<Ca
 
 /// Every pooled regex's hits in one buffer: regex `ri` claims
 /// `cells[starts[ri]..starts[ri + 1]]`, in host order. Every outcome
-/// is a TP or an FP ([`regex_hit_cached`] is `Some` only for a capture).
-struct Hits {
+/// is a TP or an FP (a hit is a match with a capture).
+///
+/// The learner's classes phase fills one while it traces the pool
+/// ([`Hits::push`], then [`Hits::close`] per regex) and hands it here;
+/// [`Hits::collect`] evaluates a pool afresh where no classes phase ran.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Hits {
     starts: Vec<usize>,
     cells: Vec<(u32, Outcome)>,
 }
 
 impl Hits {
+    /// No regex yet.
+    pub(crate) fn new() -> Hits {
+        Hits { starts: vec![0], cells: Vec::new() }
+    }
+
+    /// Adds a hit to the regex being filled: host `hi`, in host order.
+    pub(crate) fn push(&mut self, hi: u32, outcome: Outcome) {
+        self.cells.push((hi, outcome));
+    }
+
+    /// Ends the regex being filled; the next push starts the next one.
+    pub(crate) fn close(&mut self) {
+        self.starts.push(self.cells.len());
+    }
+
+    /// Number of regexes closed.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
     fn of(&self, ri: usize) -> &[(u32, Outcome)] {
         &self.cells[self.starts[ri]..self.starts[ri + 1]]
     }
 
     /// Evaluates each program on the hosts the [`screen`] hands it —
     /// at most once per host; a host left out is provably no hit.
-    fn collect(programs: &[&CompiledRegex], hosts: &[HostObs]) -> (Hits, SetsStats) {
+    pub(crate) fn collect(programs: &[&CompiledRegex], hosts: &[HostObs]) -> (Hits, SetsStats) {
         let screen = screen(programs, hosts.iter().map(|h| h.hostname.as_bytes()));
         let stats = SetsStats { dispatched: screen.dispatched(), skipped: screen.skipped() };
         prefilter_skips().add(stats.skipped);
         // Sibling regexes overwhelmingly extract the same span from a
         // host; one cache entry per host skips re-classifying it.
         let mut span_cache = vec![None; hosts.len()];
-        let mut starts = Vec::with_capacity(programs.len() + 1);
-        starts.push(0);
-        let mut cells = Vec::new();
+        let mut hits = Hits::new();
         for (ri, p) in programs.iter().enumerate() {
             for &hi in screen.hosts(ri) {
                 let (h, cache) = (&hosts[hi as usize], &mut span_cache[hi as usize]);
                 if let Some(o) = regex_hit_cached(p, h, cache) {
-                    cells.push((hi, o));
+                    hits.push(hi, o);
                 }
             }
-            starts.push(cells.len());
+            hits.close();
         }
-        (Hits { starts, cells }, stats)
+        (hits, stats)
     }
 }
 
@@ -270,19 +301,33 @@ impl Cand {
 }
 
 /// [`build_sets`] that also reports what the hit collection dispatched
-/// and skipped — the learner attaches this to its `sets` trace span.
+/// and skipped.
 ///
-/// At most one compiled evaluation per (regex, host) into sparse hits,
-/// numeric ranking, then greedy extension on bitsets.
+/// At most one compiled evaluation per (regex, host) into sparse hits
+/// ([`Hits::collect`]), then [`build_sets_from_hits`]. The learner
+/// calls this only when its classes phase is ablated; otherwise that
+/// phase hands over the hits it already traced.
 pub fn build_sets_stats(
     pool: &[Regex],
     hosts: &[HostObs],
     cfg: &SetsConfig,
 ) -> (Vec<CandidateNc>, SetsStats) {
-    let (rank_evals, greedy_evals) = eval_counters();
-    rank_evals.add(pool.len() as u64);
     let programs: Vec<&CompiledRegex> = pool.iter().map(|r| r.program()).collect();
     let (hits, stats) = Hits::collect(&programs, hosts);
+    (build_sets_from_hits(pool, &hits, hosts, cfg), stats)
+}
+
+/// The one set builder: numeric ranking of each pooled regex's `hits`,
+/// then greedy extension on bitsets. Runs no matcher.
+pub(crate) fn build_sets_from_hits(
+    pool: &[Regex],
+    hits: &Hits,
+    hosts: &[HostObs],
+    cfg: &SetsConfig,
+) -> Vec<CandidateNc> {
+    debug_assert_eq!(hits.len(), pool.len(), "one hit list per pooled regex");
+    let (rank_evals, greedy_evals) = eval_counters();
+    rank_evals.add(pool.len() as u64);
     let apparent = hosts.iter().filter(|h| h.has_apparent()).count() as u32;
 
     let mut ranked: Vec<Ranked> = pool
@@ -413,14 +458,13 @@ pub fn build_sets_stats(
         run.sort_by(|a, b| a.text.cmp(&b.text));
     });
     cands.dedup_by(|a, b| a.members == b.members);
-    let out = cands
+    cands
         .into_iter()
         .map(|c| CandidateNc {
             regexes: c.members.iter().map(|&m| pool[ranked[m].ri].clone()).collect(),
             counts: c.counts,
         })
-        .collect();
-    (out, stats)
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,14 +9,17 @@
 //!
 //! * every variable-width component (`\d+`, `[^X]+`, `[...]+`, `.+`,
 //!   and the `(\d+)` capture) lowers to a 256-bit [`ByteSet`] — one
-//!   shift+mask membership test per byte;
+//!   shift+mask membership test per byte. Building one costs O(1): `\d`,
+//!   `[a-z]` and `-` are constant masks, a class is their union, `[^X]`
+//!   is the full set with X's bytes cleared, and `.` is the full set;
 //! * the **longest mandatory literal** becomes a prefilter: a hostname
 //!   that does not contain it cannot match, and is rejected by a
 //!   memchr-style first-byte scan before the matcher runs;
 //! * a regex ending `lit$` rejects hostnames that do not end with
 //!   `lit`;
 //! * an unanchored scan only tries start offsets whose first byte could
-//!   begin a match (the first body element's admissible byte set).
+//!   begin a match (the first body element's admissible byte set, read
+//!   off its lowered op).
 //!
 //! All four are pure rejects or skip-aheads of starts that provably
 //! fail, so the compiled program is **bit-identical** to the
@@ -25,7 +28,7 @@
 //! in `tests/properties.rs` and the equivalence tests in
 //! `tests/compiled_equiv.rs` pin this down.
 
-use super::ast::{Elem, Regex};
+use super::ast::{CharClass, Elem, Regex};
 use super::matcher::MatchResult;
 
 /// A 256-bit byte membership table: one bit per byte value.
@@ -35,26 +38,42 @@ pub(crate) struct ByteSet([u64; 4]);
 impl ByteSet {
     pub(crate) const EMPTY: ByteSet = ByteSet([0; 4]);
     pub(crate) const FULL: ByteSet = ByteSet([u64::MAX; 4]);
+    /// `0`–`9` (`\d`): bytes 48..=57, all in the first word.
+    const DIGITS: ByteSet = ByteSet([0x03ff << 48, 0, 0, 0]);
+    /// `a`–`z`: bytes 97..=122, bits 33..=58 of the second word.
+    const LOWER: ByteSet = ByteSet([0, 0x03ff_ffff << 33, 0, 0]);
+    /// `-`: byte 45.
+    const HYPHEN: ByteSet = ByteSet([1 << 45, 0, 0, 0]);
 
     fn insert(&mut self, b: u8) {
         self.0[(b >> 6) as usize] |= 1u64 << (b & 63);
     }
 
-    fn from_pred(pred: impl Fn(u8) -> bool) -> ByteSet {
+    fn remove(&mut self, b: u8) {
+        self.0[(b >> 6) as usize] &= !(1u64 << (b & 63));
+    }
+
+    /// The bytes of a character class: the union of its populations'
+    /// constant masks.
+    fn class(cls: &CharClass) -> ByteSet {
         let mut s = ByteSet::EMPTY;
-        let mut b = 0u16;
-        while b <= 255 {
-            if pred(b as u8) {
-                s.insert(b as u8);
+        let parts = [(cls.lower, ByteSet::LOWER), (cls.digit, ByteSet::DIGITS), (cls.hyphen, ByteSet::HYPHEN)];
+        for (on, part) in parts {
+            if on {
+                s = s.union(&part);
             }
-            b += 1;
         }
         s
     }
 
-    /// The ASCII digit set (`\d`).
-    fn digits() -> ByteSet {
-        ByteSet::from_pred(|b| b.is_ascii_digit())
+    /// The bytes of `[^X]+`: every byte but the excluded ones (each byte
+    /// of `X`'s UTF-8 encoding).
+    fn not_in(excluded: &str) -> ByteSet {
+        let mut s = ByteSet::FULL;
+        for &b in excluded.as_bytes() {
+            s.remove(b);
+        }
+        s
     }
 
     /// True when every byte value is a member.
@@ -137,7 +156,10 @@ enum COp {
 }
 
 impl COp {
+    /// Lowers one element in O(1): every byte set is a constant mask,
+    /// a union of them, or `FULL` minus a few bytes.
     fn lower(e: &Elem) -> COp {
+        let set = |set| COp::Set { set, look: Look::ANY, boundary_only: false };
         match e {
             Elem::StartAnchor => COp::Start,
             Elem::EndAnchor => COp::End,
@@ -146,20 +168,13 @@ impl COp {
                 opts: a.opts.iter().map(|o| Box::<[u8]>::from(o.as_bytes())).collect(),
                 optional: a.optional,
             },
-            Elem::CaptureDigits => COp::Capture { set: ByteSet::digits(), look: Look::ANY, boundary_only: false },
-            Elem::Digits => COp::Set { set: ByteSet::digits(), look: Look::ANY, boundary_only: false },
-            Elem::NotIn(set) => {
-                let excluded = set.as_bytes();
-                COp::Set {
-                    set: ByteSet::from_pred(|b| !excluded.contains(&b)),
-                    look: Look::ANY,
-                    boundary_only: false,
-                }
+            Elem::CaptureDigits => {
+                COp::Capture { set: ByteSet::DIGITS, look: Look::ANY, boundary_only: false }
             }
-            Elem::Class(cls) => {
-                COp::Set { set: ByteSet::from_pred(|b| cls.contains(b)), look: Look::ANY, boundary_only: false }
-            }
-            Elem::Any => COp::Set { set: ByteSet::FULL, look: Look::ANY, boundary_only: false },
+            Elem::Digits => set(ByteSet::DIGITS),
+            Elem::NotIn(excluded) => set(ByteSet::not_in(excluded)),
+            Elem::Class(cls) => set(ByteSet::class(cls)),
+            Elem::Any => set(ByteSet::FULL),
         }
     }
 }
@@ -278,28 +293,20 @@ impl CompiledRegex {
         // First-byte set of the first body element, when it is
         // mandatory and consuming (then a match cannot begin at a byte
         // outside the set, and cannot begin at end-of-string either).
-        let body_first = if must_start { None } else { elems.first() };
-        let start_set = match body_first {
-            Some(Elem::Lit(l)) => {
+        // Read off the already lowered op.
+        let start_set = match ops.first() {
+            _ if must_start => None,
+            Some(COp::Lit(l)) => l.first().map(|&b| {
                 let mut s = ByteSet::EMPTY;
-                s.insert(l.as_bytes()[0]);
+                s.insert(b);
+                s
+            }),
+            Some(COp::Alt { opts, optional: false }) => opts.iter().try_fold(ByteSet::EMPTY, |mut s, o| {
+                // An empty option matches anywhere: no pruning.
+                s.insert(*o.first()?);
                 Some(s)
-            }
-            Some(Elem::Alt(a)) if !a.optional => {
-                let mut s = ByteSet::EMPTY;
-                for o in &a.opts {
-                    s.insert(o.as_bytes()[0]);
-                }
-                Some(s)
-            }
-            Some(e @ (Elem::CaptureDigits
-            | Elem::Digits
-            | Elem::NotIn(_)
-            | Elem::Class(_)
-            | Elem::Any)) => match COp::lower(e) {
-                COp::Capture { set, .. } | COp::Set { set, .. } if !set.is_full() => Some(set),
-                _ => None,
-            },
+            }),
+            Some(COp::Capture { set, .. } | COp::Set { set, .. }) if !set.is_full() => Some(*set),
             _ => None,
         };
 
@@ -328,7 +335,12 @@ impl CompiledRegex {
     /// the allocation-free form the learner's class-embedding phase
     /// loops over a whole hostname set with. `trace` is resized to one
     /// span per element; returns whether the program matched (spans are
-    /// only meaningful then). Captures are not reported.
+    /// only meaningful then). Captures are not reported as such, but
+    /// every sink walks the same backtracking path, so on a match the
+    /// span at a capture element *is* that capture: at
+    /// [`Regex::capture_index`] it equals
+    /// [`match_capture`](CompiledRegex::match_capture)'s span. The
+    /// learner's classes phase classifies its hits from it.
     pub fn find_trace_into(&self, hostname: &str, trace: &mut Vec<(usize, usize)>) -> bool {
         trace.clear();
         trace.resize(self.ops.len(), (0, 0));
@@ -780,14 +792,54 @@ mod tests {
         }
     }
 
+    /// The reference construction: test `pred` on all 256 byte values.
+    fn from_pred(pred: impl Fn(u8) -> bool) -> ByteSet {
+        let mut s = ByteSet::EMPTY;
+        for b in 0..=255u8 {
+            if pred(b) {
+                s.insert(b);
+            }
+        }
+        s
+    }
+
+    /// The byte set a single-element program lowers `e` to.
+    fn lowered_set(e: Elem) -> ByteSet {
+        match COp::lower(&e) {
+            COp::Capture { set, .. } | COp::Set { set, .. } => set,
+            op => panic!("{e:?} lowered to {op:?}"),
+        }
+    }
+
     #[test]
     fn byteset_membership() {
-        let digits = ByteSet::digits();
         for b in 0..=255u8 {
-            assert_eq!(digits.contains(b), b.is_ascii_digit(), "byte {b}");
+            assert_eq!(ByteSet::DIGITS.contains(b), b.is_ascii_digit(), "byte {b}");
         }
-        assert!(ByteSet::from_pred(|_| true).is_full());
+        assert!(from_pred(|_| true).is_full());
         assert!(!ByteSet::EMPTY.is_full());
+    }
+
+    /// The O(1) constant-mask sets equal the 256-byte reference for
+    /// every class, every exclusion set the learner and parser produce,
+    /// and the digit and wildcard components.
+    #[test]
+    fn constant_sets_equal_the_byte_by_byte_reference() {
+        for bits in 0..8u8 {
+            let cls = CharClass { lower: bits & 1 != 0, digit: bits & 2 != 0, hyphen: bits & 4 != 0 };
+            assert_eq!(lowered_set(Elem::Class(cls)), from_pred(|b| cls.contains(b)), "{cls:?}");
+        }
+        for excluded in [".", "-", ".-", "\\^$()[]|?+*.", "é-ü", ""] {
+            assert_eq!(
+                lowered_set(Elem::NotIn(excluded.to_string())),
+                from_pred(|b| !excluded.as_bytes().contains(&b)),
+                "[^{excluded}]"
+            );
+        }
+        let digits = from_pred(|b| b.is_ascii_digit());
+        assert_eq!(lowered_set(Elem::Digits), digits);
+        assert_eq!(lowered_set(Elem::CaptureDigits), digits);
+        assert_eq!(lowered_set(Elem::Any), from_pred(|_| true));
     }
 
     #[test]
@@ -879,7 +931,7 @@ mod tests {
 
     #[test]
     fn run_len_word_at_a_time_equals_scalar() {
-        let digits = ByteSet::digits();
+        let digits = ByteSet::DIGITS;
         // Runs crossing every chunk boundary shape: 0..=20 leading
         // digits, then a non-member, at every starting offset.
         for lead in 0..=20usize {

@@ -1,13 +1,15 @@
 //! Property-based tests for the core learning machinery, on the devkit
 //! harness: the regex dialect round-trips through its textual form, the
-//! matcher finds instances sampled from a regex, edit distance behaves
-//! like a metric (up to the OSA caveat), and evaluation counts stay
-//! consistent.
+//! matcher finds instances sampled from a regex, a match's trace span
+//! at the capture is its capture, a §3.4 specialisation matches only
+//! hosts its parent matches, edit distance behaves like a metric (up to
+//! the OSA caveat), and evaluation counts stay consistent.
 
 use hoiho::apparent::{congruence, Congruence};
 use hoiho::editdist::damerau_levenshtein;
 use hoiho::eval::{evaluate, Counts};
 use hoiho::learner::{learn_all, LearnConfig};
+use hoiho::phases::classes::specialise;
 use hoiho::regex::{AltGroup, CharClass, CompiledRegex, Elem, MultiMatcher, Regex};
 use hoiho::training::{HostObs, Observation, TrainingSet};
 use hoiho_devkit::prop::{any, just, one_of, string_of, vec_of, Gen};
@@ -121,6 +123,15 @@ fn instance_of(e: &Elem, rng_bits: u64) -> String {
             }
         }
     }
+}
+
+/// A hostname assembled from per-element instances of `r`.
+fn sample(r: &Regex, seed: u64) -> String {
+    r.elems()
+        .iter()
+        .enumerate()
+        .map(|(i, e)| instance_of(e, seed.wrapping_add(i as u64 * 131)))
+        .collect()
 }
 
 props! {
@@ -254,6 +265,73 @@ props! {
                 prop_assert!(s >= m.span.0 && e <= m.span.1);
                 prop_assert!(s < e);
                 prop_assert!(host[s..e].bytes().all(|b| b.is_ascii_digit()));
+            }
+        }
+    }
+
+    /// A match's trace span at the capture element is its capture:
+    /// `find_trace`, and the allocation-free `find_trace_into`, report
+    /// at `capture_index()` exactly `match_capture`'s span. The learner's
+    /// classes phase classifies its hits from that span.
+    fn trace_span_at_the_capture_is_the_capture(
+        r in regex(),
+        seed in any::<u64>(),
+        noise in string_of("abcxyz0189.-", 0..=12usize),
+    ) {
+        let c = CompiledRegex::compile(&r);
+        let at = r.capture_index().expect("generated regexes capture");
+        let instance = sample(&r, seed);
+        let hosts = [
+            format!("{noise}{instance}"),
+            format!("{instance}{noise}"),
+            instance,
+            noise,
+            "as24940.akl-ix.nz".to_string(),
+            "50-236-216-122-static.hfc.comcastbusiness.net".to_string(),
+        ];
+        let mut spans = Vec::new();
+        for host in &hosts {
+            match c.find_trace(host) {
+                Some((_, trace)) => {
+                    prop_assert_eq!(c.match_capture(host), Some(Some(trace[at])));
+                    prop_assert!(c.find_trace_into(host, &mut spans), "{} on {host:?}", r);
+                    prop_assert_eq!(spans[at], trace[at]);
+                }
+                None => prop_assert_eq!(c.match_capture(host), None),
+            }
+        }
+    }
+
+    /// §3.4 containment, which the learner's lineage-pruned evaluation
+    /// rests on: a specialisation narrows components to bytes they
+    /// matched, so every host the specialised regex matches — among the
+    /// hosts it was built from, and among instances sampled from it —
+    /// its parent matches too.
+    fn specialisation_matches_only_hosts_its_parent_matches(
+        pool in vec_of(regex(), 1..4usize),
+        seed in any::<u64>(),
+        noise in string_of("abcxyz0189.-", 0..=8usize),
+    ) {
+        let mut names = vec![noise.clone()];
+        for (k, r) in pool.iter().enumerate() {
+            for j in 0..3u64 {
+                let instance = sample(r, seed.wrapping_add(k as u64 * 7919 + j * 104_729));
+                names.push(format!("{noise}{instance}"));
+                names.push(instance);
+            }
+        }
+        let hosts: Vec<HostObs> = names
+            .iter()
+            .map(|h| HostObs::build(&Observation::new(h, [192, 0, 2, 1], 1), ""))
+            .collect();
+        for r in &pool {
+            let Some(child) = specialise(r, &hosts) else { continue };
+            let mut probes = names.clone();
+            probes.extend((0..8u64).map(|j| sample(&child, seed ^ j.wrapping_mul(0x9e37_79b9))));
+            for h in &probes {
+                if child.is_match(h) {
+                    prop_assert!(r.is_match(h), "{} (from {}) matches {h:?}; its parent does not", child, r);
+                }
             }
         }
     }

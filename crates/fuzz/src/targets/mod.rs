@@ -10,6 +10,7 @@
 //! | psl      | `PublicSuffixList` lookups + `dispatch` | rule-table answers vs the linear-scan reference algorithm |
 //! | scenario | `Scenario::parse`             | canonical render fixpoint                         |
 //! | framing  | server line/`BATCH` framing   | live server vs a framing reference simulation over RNG-fragmented streams |
+//! | learn    | `learn_suffix` over `asn hostname` rows | the learner's handed-over hits vs the public phases with a full evaluation of the pool |
 //!
 //! A target's `run` takes the *case bytes themselves* (not entropy), so
 //! corpus files are exact-input regressions. Rejection of a malformed
@@ -18,6 +19,7 @@
 
 mod artifact;
 mod framing;
+mod learn;
 mod multimatch;
 mod psl;
 mod regex;
@@ -51,6 +53,7 @@ pub fn all_targets() -> Vec<Box<dyn Target>> {
         Box::new(psl::PslTarget),
         Box::new(scenario::ScenarioTarget),
         Box::new(framing::FramingTarget::new()),
+        Box::new(learn::LearnTarget),
     ]
 }
 
