@@ -7,54 +7,18 @@
 //! destination sets, or is a provider of one of those ASes. Reasonable
 //! extractions replace the inferred owner; unreasonable ones are deemed
 //! stale and the topological inference stands.
+//!
+//! This module consumes answers; it picks no convention itself. The
+//! caller hands [`integrate`] each hostname's answer — the extracted
+//! ASN and the §4 class of the convention that extracted it — as a
+//! function. The experiments and the examples pass the serving
+//! engine's answer, so §5 sees exactly what a served query returns.
 
 use crate::graph::{RouterGraph, RouterIdx};
 use crate::InferenceInput;
 use hoiho::classify::NcClass;
-use hoiho::NamingConvention;
 use hoiho_asdb::{Addr, Asn};
 use std::collections::BTreeMap;
-
-/// Learned conventions indexed by suffix, with their §4 class.
-#[derive(Debug, Clone, Default)]
-pub struct ConventionSet {
-    by_suffix: BTreeMap<String, (NamingConvention, NcClass)>,
-}
-
-impl ConventionSet {
-    /// Builds a set from conventions and their quality classes.
-    pub fn new(items: impl IntoIterator<Item = (NamingConvention, NcClass)>) -> ConventionSet {
-        let mut by_suffix = BTreeMap::new();
-        for (nc, class) in items {
-            by_suffix.insert(nc.suffix.clone(), (nc, class));
-        }
-        ConventionSet { by_suffix }
-    }
-
-    /// Number of conventions.
-    pub fn len(&self) -> usize {
-        self.by_suffix.len()
-    }
-
-    /// True when no conventions are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.by_suffix.is_empty()
-    }
-
-    /// Extracts an ASN from `hostname` using the convention of its
-    /// suffix (longest matching label suffix wins).
-    pub fn extract(&self, hostname: &str) -> Option<(Asn, NcClass)> {
-        let labels: Vec<&str> = hostname.split('.').collect();
-        // Try the longest candidate suffix first.
-        for start in 0..labels.len().saturating_sub(1) {
-            let suffix = labels[start..].join(".");
-            if let Some((nc, class)) = self.by_suffix.get(&suffix) {
-                return nc.extract(hostname).map(|a| (a, *class));
-            }
-        }
-        None
-    }
-}
 
 /// One arbitration between a hostname and the heuristic inference.
 #[derive(Debug, Clone)]
@@ -133,13 +97,16 @@ pub fn reasonable(
 
 /// Integrates extracted ASNs into the inference. `hostnames` maps
 /// interface addresses to PTR names; `owners` is the pre-integration
-/// inference (e.g. from [`crate::refine::infer`]).
+/// inference (e.g. from [`crate::refine::infer`]); `extract` answers a
+/// hostname with its extracted ASN and the §4 class of the convention
+/// that extracted it, or `None` when no convention extracts one. It is
+/// called once per hostname on an observed interface.
 pub fn integrate(
     graph: &RouterGraph,
     input: &InferenceInput,
     owners: &[Option<Asn>],
     hostnames: &BTreeMap<Addr, String>,
-    conventions: &ConventionSet,
+    extract: impl Fn(&str) -> Option<(Asn, NcClass)>,
 ) -> IntegrationResult {
     let mut out = IntegrationResult {
         owners: owners.to_vec(),
@@ -151,11 +118,14 @@ pub fn integrate(
     let agrees = |a: Asn, b: Option<Asn>| -> bool {
         b.is_some_and(|b| a == b || input.org.siblings(a, b))
     };
+    // Every annotated interface's (router, extracted ASN), for the
+    // final recount.
+    let mut annotated: Vec<(RouterIdx, Asn)> = Vec::new();
     // Deterministic order: iterate the hostname table.
     for (&addr, hostname) in hostnames {
         let Some(&router) = graph.by_addr.get(&addr) else { continue };
-        let Some((extracted, class)) = conventions.extract(hostname) else { continue };
-        out.annotated += 1;
+        let Some((extracted, class)) = extract(hostname) else { continue };
+        annotated.push((router, extracted));
         let initial = owners[router];
         if agrees(extracted, initial) {
             out.agree_initial += 1;
@@ -176,13 +146,8 @@ pub fn integrate(
         });
     }
     // Final agreement: recount against the updated owners.
-    for (&addr, hostname) in hostnames {
-        let Some(&router) = graph.by_addr.get(&addr) else { continue };
-        let Some((extracted, _)) = conventions.extract(hostname) else { continue };
-        if agrees(extracted, out.owners[router]) {
-            out.agree_final += 1;
-        }
-    }
+    out.annotated = annotated.len();
+    out.agree_final = annotated.iter().filter(|&&(r, a)| agrees(a, out.owners[r])).count();
     out
 }
 
@@ -191,19 +156,20 @@ mod tests {
     use super::*;
     use crate::graph::RouterGraph;
     use crate::Trace;
-    use hoiho::Regex;
+    use hoiho::{NamingConvention, Regex};
     use hoiho_asdb::{As2Org, AsRelationships, IxpDirectory, Prefix, RouteTable};
 
     fn a(s: &str) -> Addr {
         hoiho_asdb::addr_parse(s).unwrap()
     }
 
-    fn conventions() -> ConventionSet {
+    /// The provider's one convention, answered directly.
+    fn extract(hostname: &str) -> Option<(Asn, NcClass)> {
         let nc = NamingConvention::new(
             "prov.net",
             vec![Regex::parse(r"^as(\d+)\.[a-z\d-]+\.prov\.net$").unwrap()],
         );
-        ConventionSet::new([(nc, NcClass::Good)])
+        nc.extract(hostname).map(|asn| (asn, NcClass::Good))
     }
 
     /// AS100 (10/8) provides to AS200 (20/8) and AS300 (30/8, sibling of
@@ -241,14 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn convention_set_extraction() {
-        let cs = conventions();
-        assert_eq!(cs.extract("as200.lhr-3.prov.net"), Some((200, NcClass::Good)));
-        assert_eq!(cs.extract("other.example.org"), None);
-        assert_eq!(cs.len(), 1);
-    }
-
-    #[test]
     fn correct_hostname_fixes_wrong_inference() {
         let (graph, input) = setup();
         let ridx = graph.by_addr[&a("10.0.9.1")];
@@ -257,7 +215,7 @@ mod tests {
         owners[ridx] = Some(100);
         let hostnames =
             BTreeMap::from([(a("10.0.9.1"), "as200.lhr-3.prov.net".to_string())]);
-        let res = integrate(&graph, &input, &owners, &hostnames, &conventions());
+        let res = integrate(&graph, &input, &owners, &hostnames, extract);
         assert_eq!(res.annotated, 1);
         assert_eq!(res.agree_initial, 0);
         assert_eq!(res.agree_final, 1);
@@ -275,7 +233,7 @@ mod tests {
         // Hostname names AS 999 — no topological support.
         let hostnames =
             BTreeMap::from([(a("10.0.9.1"), "as999.lhr-3.prov.net".to_string())]);
-        let res = integrate(&graph, &input, &owners, &hostnames, &conventions());
+        let res = integrate(&graph, &input, &owners, &hostnames, extract);
         assert_eq!(res.owners[ridx], Some(200), "stale hostname must not be adopted");
         assert_eq!(res.decisions.len(), 1);
         assert!(!res.decisions[0].used);
@@ -290,7 +248,7 @@ mod tests {
         owners[ridx] = Some(300); // sibling of 200
         let hostnames =
             BTreeMap::from([(a("10.0.9.1"), "as200.lhr-3.prov.net".to_string())]);
-        let res = integrate(&graph, &input, &owners, &hostnames, &conventions());
+        let res = integrate(&graph, &input, &owners, &hostnames, extract);
         assert_eq!(res.agree_initial, 1);
         assert!(res.decisions.is_empty());
         assert_eq!(res.owners[ridx], Some(300), "sibling agreement leaves owner alone");
@@ -315,7 +273,7 @@ mod tests {
         let (graph, input) = setup();
         let owners = vec![None; graph.len()];
         let hostnames = BTreeMap::from([(a("99.9.9.9"), "as200.x-1.prov.net".to_string())]);
-        let res = integrate(&graph, &input, &owners, &hostnames, &conventions());
+        let res = integrate(&graph, &input, &owners, &hostnames, extract);
         assert_eq!(res.annotated, 0);
         assert!(res.decisions.is_empty());
     }

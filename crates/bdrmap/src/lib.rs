@@ -17,7 +17,8 @@
 //!   hostname when it matches (or is a sibling of) an ASN in the
 //!   router's subsequent/destination sets, or is a provider of one —
 //!   otherwise treat the hostname as stale and keep the topological
-//!   inference.
+//!   inference. The caller supplies each hostname's answer; this crate
+//!   never picks a naming convention.
 
 pub mod graph;
 pub mod integrate;

@@ -1,20 +1,21 @@
 //! Benchmarks for the inference substrate: longest-prefix matching,
 //! public-suffix lookups, router-graph construction, RTAA election,
-//! bdrmapIT refinement, and the §5 integration.
+//! bdrmapIT refinement, and the §5 integration (hostnames answered by
+//! the serving engine, as the experiments answer them).
 //!
 //! Runs on the devkit micro-benchmark harness; results land in
 //! `BENCH_inference.json` at the workspace root.
 
 use hoiho::learner::{learn_all, LearnConfig};
 use hoiho_bdrmap::graph::RouterGraph;
-use hoiho_bdrmap::integrate::{integrate, ConventionSet};
+use hoiho_bdrmap::integrate::integrate;
 use hoiho_bdrmap::refine::{self, RefineConfig};
 use hoiho_bdrmap::rtaa;
 use hoiho_devkit::bench::{Harness, Throughput};
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
 use hoiho_psl::PublicSuffixList;
-use std::collections::BTreeMap;
+use hoiho_serve::{Engine, Model};
 use std::hint::black_box;
 
 fn spec() -> SnapshotSpec {
@@ -102,18 +103,14 @@ fn bench_integration(h: &mut Harness) {
     let psl = PublicSuffixList::builtin();
     let training = snap.training_set();
     let groups = training.by_suffix(&psl);
-    let learned = learn_all(&groups, &LearnConfig::default());
-    let conventions = ConventionSet::new(
-        learned.iter().filter(|l| !l.single).map(|l| (l.convention.clone(), l.class)),
-    );
-    let mut hostnames = BTreeMap::new();
-    for &addr in snap.graph.by_addr.keys() {
-        if let Some(iface) = snap.internet.iface_at(addr) {
-            if let Some(h) = iface.hostname.as_deref() {
-                hostnames.insert(addr, h.to_string());
-            }
-        }
-    }
+    let mut model = Model::from_learned(&learn_all(&groups, &LearnConfig::default()));
+    model.entries.retain(|e| !e.single);
+    let engine = Engine::new(&model);
+    let answer = |hostname: &str| {
+        let x = engine.extract(hostname);
+        Some((x.asn?, engine.conventions()[x.nc?].class))
+    };
+    let hostnames = snap.hostnames();
     let mut g = h.benchmark_group("inference/integration");
     g.sample_size(20);
     g.throughput(Throughput::Elements(hostnames.len() as u64));
@@ -124,7 +121,7 @@ fn bench_integration(h: &mut Harness) {
                 &snap.input,
                 &snap.owners,
                 &hostnames,
-                &conventions,
+                answer,
             ))
         })
     });

@@ -1,6 +1,6 @@
 //! Benchmarks for the serving subsystem: model artifact round trips,
-//! single-hostname and batch extraction through the suffix-indexed
-//! engine, and full lookups over a live TCP server.
+//! extraction through the suffix-indexed engine, and full lookups over
+//! a live TCP server.
 //!
 //! Runs on the devkit micro-benchmark harness; results land in
 //! `BENCH_serve.json` at the workspace root.
@@ -11,7 +11,7 @@ use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
 use hoiho_psl::PublicSuffixList;
 use hoiho_serve::server::Client;
-use hoiho_serve::{Engine, Model, ServerHandle, MIN_BATCH_CHUNK};
+use hoiho_serve::{Engine, Model, ServerHandle};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -57,33 +57,6 @@ fn bench_extraction(h: &mut Harness, model: &Model, hostnames: &[String]) {
             }
             black_box(hits)
         })
-    });
-    g.bench_function("batch_1_thread", |b| {
-        b.iter(|| black_box(engine.extract_all(black_box(hostnames), 1)))
-    });
-    g.bench_function("batch_4_threads", |b| {
-        b.iter(|| black_box(engine.extract_all(black_box(hostnames), 4)))
-    });
-    g.finish();
-
-    // The sim workload is a few hundred names — under the per-thread
-    // chunk floor, so the batch above runs single-threaded by design
-    // (that floor is what fixed the old 0.6x batch_4_threads
-    // regression: tiny batches no longer pay thread-spawn costs).
-    // This batch is big enough (8 chunks) that four threads each get
-    // real work — on multi-core hardware the parallel path must beat
-    // single-threaded here; on a single core the bar is parity within
-    // scheduling overhead.
-    let large: Vec<String> =
-        (0..8 * MIN_BATCH_CHUNK).map(|i| hostnames[i % hostnames.len()].clone()).collect();
-    let mut g = h.benchmark_group("serve/extract_large");
-    g.throughput(Throughput::Elements(large.len() as u64));
-    g.sample_size(10);
-    g.bench_function("batch_1_thread", |b| {
-        b.iter(|| black_box(engine.extract_all(black_box(&large), 1)))
-    });
-    g.bench_function("batch_4_threads", |b| {
-        b.iter(|| black_box(engine.extract_all(black_box(&large), 4)))
     });
     g.finish();
 }

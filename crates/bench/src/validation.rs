@@ -4,7 +4,10 @@
 //! [`run_sec5`] supplies every learned NC (good, promising, and poor,
 //! as the paper does) to the modified bdrmapIT and measures the
 //! agreement gain and ground-truth error-rate reduction over annotated
-//! interfaces, plus the adoption rate per NC class.
+//! interfaces, plus the adoption rate per NC class. Hostnames are
+//! answered by the serving [`Engine`] over those conventions — the
+//! same PSL dispatch and compiled regexes a served query runs — so the
+//! §5 numbers describe what the server would hand bdrmapIT.
 //!
 //! [`run_table2`] replays the paper's validation protocol: ground truth
 //! from five operators (a transit provider, two ISPs, two IXPs —
@@ -13,15 +16,18 @@
 //! TP (correct ASN, used), FN (correct, not used), FP (incorrect,
 //! used), or TN (incorrect, not used). Interfaces where the training
 //! ASN, extracted ASN, and PeeringDB ASN are all different are excluded
-//! exactly as in the paper.
+//! exactly as in the paper. The PeeringDB row's hostnames are grouped
+//! by their PSL registrable domain, the suffix the learner groups by.
 
 use crate::pipeline::SnapshotStats;
 use hoiho::classify::NcClass;
-use hoiho_asdb::{Addr, Asn};
-use hoiho_bdrmap::integrate::{integrate, ConventionSet, Decision, IntegrationResult};
+use hoiho_asdb::Asn;
+use hoiho_bdrmap::integrate::{integrate, Decision, IntegrationResult};
 use hoiho_netsim::asgen::Tier;
 use hoiho_pdb::{synthesize, PdbConfig, PeeringDbSnapshot};
-use std::collections::BTreeMap;
+use hoiho_psl::PublicSuffixList;
+use hoiho_serve::{Engine, Model};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// §5 headline numbers.
 pub struct Sec5Report {
@@ -39,8 +45,6 @@ pub struct Sec5Report {
     pub by_class: Vec<(NcClass, usize, usize)>,
     /// The integration outcome (decisions included).
     pub result: IntegrationResult,
-    /// addr → hostname map used for integration.
-    pub hostnames: BTreeMap<Addr, String>,
 }
 
 /// Runs the §5 experiment on a built snapshot's statistics.
@@ -52,29 +56,22 @@ pub fn run_sec5(stats: &SnapshotStats) -> Sec5Report {
     // (Figure 2), so its extraction carries no signal about who
     // operates a router and the provider branch of the reasonableness
     // test would wrongly adopt it.
-    let conventions = ConventionSet::new(
-        stats
-            .learned
-            .iter()
-            .filter(|l| !l.single)
-            .map(|l| (l.convention.clone(), l.class)),
-    );
-    let mut hostnames: BTreeMap<Addr, String> = BTreeMap::new();
-    for &addr in snap.graph.by_addr.keys() {
-        if let Some(iface) = snap.internet.iface_at(addr) {
-            if let Some(h) = iface.hostname.as_deref() {
-                hostnames.insert(addr, h.to_string());
-            }
-        }
-    }
-    let result = integrate(&snap.graph, &snap.input, &snap.owners, &hostnames, &conventions);
+    let mut model = Model::from_learned(&stats.learned);
+    model.entries.retain(|e| !e.single);
+    let engine = Engine::new(&model);
+    let answer = |hostname: &str| {
+        let x = engine.extract(hostname);
+        Some((x.asn?, engine.conventions()[x.nc?].class))
+    };
+    let hostnames = snap.hostnames();
+    let result = integrate(&snap.graph, &snap.input, &snap.owners, &hostnames, answer);
 
     // Ground-truth error rate over annotated interfaces.
     let score = |owners: &[Option<Asn>]| -> (usize, usize) {
         let mut wrong = 0;
         let mut total = 0;
         for (&addr, hostname) in &hostnames {
-            if conventions.extract(hostname).is_none() {
+            if answer(hostname).is_none() {
                 continue;
             }
             let Some(&ridx) = snap.graph.by_addr.get(&addr) else { continue };
@@ -105,7 +102,6 @@ pub fn run_sec5(stats: &SnapshotStats) -> Sec5Report {
         err_after,
         by_class,
         result,
-        hostnames,
     }
 }
 
@@ -219,9 +215,10 @@ pub fn run_table2(stats: &SnapshotStats, sec5: &Sec5Report) -> Table2 {
         ValidationRow { name: "Asia-Pacific IXP".into(), ..Default::default() },
         ValidationRow { name: "PeeringDB".into(), ..Default::default() },
     ];
+    let psl = PublicSuffixList::builtin();
     let mut excluded = 0usize;
     let mut covered = 0usize;
-    let mut pdb_suffixes: std::collections::BTreeSet<String> = Default::default();
+    let mut pdb_suffixes: BTreeSet<String> = BTreeSet::new();
 
     for d in &sec5.result.decisions {
         let Some(truth) = net.owner_of_addr(d.addr) else { continue };
@@ -249,7 +246,7 @@ pub fn run_table2(stats: &SnapshotStats, sec5: &Sec5Report) -> Table2 {
                 let pdb_correct = d.extracted == pdb_asn
                     || snap.input.org.siblings(d.extracted, pdb_asn);
                 covered += 1;
-                if let Some(suffix) = suffix_of(&d.hostname) {
+                if let Some(suffix) = psl.registrable_domain(&d.hostname) {
                     pdb_suffixes.insert(suffix);
                 }
                 rows[5].add(pdb_correct, d.used);
@@ -300,16 +297,6 @@ fn classify_source(
         n if n == large && n.is_some() => Some(2),
         _ => None,
     }
-}
-
-/// Registrable-suffix approximation for grouping PeeringDB hostnames
-/// (last two labels — IXP suffixes in the simulation are two labels).
-fn suffix_of(hostname: &str) -> Option<String> {
-    let labels: Vec<&str> = hostname.split('.').collect();
-    if labels.len() < 2 {
-        return None;
-    }
-    Some(labels[labels.len() - 2..].join("."))
 }
 
 #[cfg(test)]

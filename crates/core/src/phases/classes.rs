@@ -30,7 +30,7 @@
 //! [`embed_classes`] and the learner share one specialise loop.
 
 use crate::eval::{hit_outcome, regex_hit_cached, Outcome};
-use crate::phases::sets::{prefilter_skips, Hits};
+use crate::phases::sets::Hits;
 use crate::regex::{screen, CharClass, CompiledRegex, Elem, Regex};
 use crate::training::HostObs;
 use std::collections::HashSet;
@@ -111,7 +111,6 @@ fn specialise_pool(
     let screen = screen(&programs, hosts.iter().map(|h| h.hostname.as_bytes()));
     if let Some(l) = lineage.as_deref_mut() {
         l.runs += screen.dispatched();
-        prefilter_skips().add(screen.skipped());
     }
     let mut trace: Vec<(usize, usize)> = Vec::new();
     let mut out: Vec<(Regex, usize)> = Vec::new();

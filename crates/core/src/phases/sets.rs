@@ -41,10 +41,10 @@
 //! cells, and otherwise the hosts a pool-wide Aho–Corasick automaton
 //! over every program's required literals dispatches it to. A skipped
 //! pair is provably no hit (a missing required literal rules the match
-//! out), so the hits are identical to evaluating every pair; the skip
-//! volume is exported as `hoiho_learn_prefilter_skips_total`. (The
-//! learner runs a specialised regex only on its parent's matched hosts,
-//! a narrower set still.)
+//! out), so the hits are identical to evaluating every pair;
+//! [`SetsStats`] reports the pairs run and skipped. (The learner runs a
+//! specialised regex only on its parent's matched hosts, a narrower set
+//! still.)
 //!
 //! This is the only set builder. `tests/compiled_equiv.rs` keeps the
 //! paper's direct algorithm — re-evaluate every trial set in full, rank
@@ -54,9 +54,7 @@
 use crate::eval::{regex_hit_cached, Counts, Outcome};
 use crate::regex::{screen, CompiledRegex, Regex};
 use crate::training::HostObs;
-use hoiho_obs::Counter;
 use std::cmp::Reverse;
-use std::sync::OnceLock;
 
 /// A candidate naming convention: an ordered regex list with its
 /// evaluation over the suffix's hostnames.
@@ -94,32 +92,6 @@ pub struct SetsStats {
     /// Evaluations skipped by literal dispatch (a required literal was
     /// absent, so the pair is no hit without running the program).
     pub skipped: u64,
-}
-
-/// Process-global `hoiho_learn_evaluations_total{phase}` counters:
-/// `rank` counts one evaluation per pooled regex (one hit list each),
-/// `greedy` one per trial-set scoring. Visible over the
-/// serving `METRICS` verb and summarised by `hoiho learn --trace`.
-fn eval_counters() -> &'static (Counter, Counter) {
-    static COUNTERS: OnceLock<(Counter, Counter)> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let reg = hoiho_obs::global().registry();
-        (
-            reg.counter("hoiho_learn_evaluations_total", &[("phase", "rank")]),
-            reg.counter("hoiho_learn_evaluations_total", &[("phase", "greedy")]),
-        )
-    })
-}
-
-/// Process-global `hoiho_learn_prefilter_skips_total`: (regex, host)
-/// evaluations the pool-wide literal dispatch proved unnecessary. Read
-/// next to `hoiho_learn_evaluations_total{phase="rank"}` to see the
-/// fraction of the pairs the automaton skipped.
-pub(crate) fn prefilter_skips() -> &'static Counter {
-    static COUNTER: OnceLock<Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| {
-        hoiho_obs::global().registry().counter("hoiho_learn_prefilter_skips_total", &[])
-    })
 }
 
 /// Ranks `pool` by ATP and returns candidate conventions: every ranked
@@ -174,7 +146,6 @@ impl Hits {
     pub(crate) fn collect(programs: &[&CompiledRegex], hosts: &[HostObs]) -> (Hits, SetsStats) {
         let screen = screen(programs, hosts.iter().map(|h| h.hostname.as_bytes()));
         let stats = SetsStats { dispatched: screen.dispatched(), skipped: screen.skipped() };
-        prefilter_skips().add(stats.skipped);
         // Sibling regexes overwhelmingly extract the same span from a
         // host; one cache entry per host skips re-classifying it.
         let mut span_cache = vec![None; hosts.len()];
@@ -326,8 +297,6 @@ pub(crate) fn build_sets_from_hits(
     cfg: &SetsConfig,
 ) -> Vec<CandidateNc> {
     debug_assert_eq!(hits.len(), pool.len(), "one hit list per pooled regex");
-    let (rank_evals, greedy_evals) = eval_counters();
-    rank_evals.add(pool.len() as u64);
     let apparent = hosts.iter().filter(|h| h.has_apparent()).count() as u32;
 
     let mut ranked: Vec<Ranked> = pool
@@ -399,7 +368,6 @@ pub(crate) fn build_sets_from_hits(
             if members.len() >= cfg.max_set_size {
                 break;
             }
-            greedy_evals.inc();
             let (tpb, fpb) = bits_of(j);
             // What the candidate claims among the open hosts; each
             // apparent host it claims is one FN fewer. The trial's ATP
@@ -573,8 +541,7 @@ mod tests {
 
     /// The dispatch stats partition the matrix on both sides of the
     /// screen's threshold. Below it every cell is dispatched; above it
-    /// some skip, and the skip counter moves (>= because the registry
-    /// is process-global).
+    /// some skip.
     #[test]
     fn dispatch_stats_partition_the_matrix() {
         let pool = vec![
@@ -591,25 +558,8 @@ mod tests {
         let big: Vec<HostObs> = (0..130).flat_map(|_| small.iter().cloned()).collect();
         let cells = (pool.len() * big.len()) as u64;
         assert!(cells >= DISPATCH_MIN_CELLS as u64, "big fixture fell below the threshold");
-        let skips0 = prefilter_skips().get();
         let (_, stats) = build_sets_stats(&pool, &big, &SetsConfig::default());
         assert_eq!(stats.dispatched + stats.skipped, cells);
         assert!(stats.skipped > 0, "`.sgw.` hosts are a minority: some cells must skip");
-        assert!(prefilter_skips().get() >= skips0 + stats.skipped);
-    }
-
-    /// The `hoiho_learn_evaluations_total` counters move when sets are
-    /// built (>= because other tests share the process-global registry).
-    #[test]
-    fn evaluation_counters_are_incremented() {
-        let (rank, greedy) = eval_counters();
-        let (rank0, greedy0) = (rank.get(), greedy.get());
-        let pool = vec![
-            rx(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$"),
-            rx(r"^(\d+)-.+\.equinix\.com$"),
-        ];
-        build_sets(&pool, &figure4_hosts(), &SetsConfig::default());
-        assert!(rank.get() >= rank0 + 2, "rank evals should count each pooled regex");
-        assert!(greedy.get() > greedy0, "greedy evals should count trial sets");
     }
 }

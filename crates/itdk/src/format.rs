@@ -111,14 +111,8 @@ pub fn files_of(snap: &crate::BuiltSnapshot) -> ItdkFiles {
         if let Some(asn) = snap.owners.get(idx).copied().flatten() {
             out.node_as.insert(id, (asn, snap.spec.method.label().to_string()));
         }
-        for &addr in &node.interfaces {
-            if let Some(iface) = snap.internet.iface_at(addr) {
-                if let Some(h) = iface.hostname.as_deref() {
-                    out.hostnames.insert(addr, h.to_string());
-                }
-            }
-        }
     }
+    out.hostnames = snap.hostnames();
     out
 }
 

@@ -18,14 +18,15 @@
 //!   more vantage points observe them, and the annotation method
 //!   improves.
 //! * [`BuiltSnapshot`] — a fully built snapshot: the Internet, the
-//!   traceroute corpus, the router graph, per-router training ASNs, and
-//!   the Hoiho training set derived from them.
+//!   traceroute corpus, the router graph, per-router training ASNs, the
+//!   Hoiho training set derived from them, and the PTR names of the
+//!   observed interfaces.
 
 pub mod alias;
 pub mod format;
 
 use hoiho::training::{Observation, TrainingSet};
-use hoiho_asdb::Asn;
+use hoiho_asdb::{Addr, Asn};
 use hoiho_bdrmap::graph::RouterGraph;
 use hoiho_bdrmap::refine::RefineConfig;
 use hoiho_bdrmap::{refine, rtaa, InferenceInput, Trace};
@@ -33,6 +34,7 @@ use hoiho_netsim::config::StyleMix;
 use hoiho_netsim::traceroute::run_traceroutes;
 use hoiho_netsim::{Internet, SimConfig};
 use hoiho_pdb::{synthesize, PdbConfig, PeeringDbSnapshot};
+use std::collections::BTreeMap;
 
 /// How training ASNs are produced for a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +198,19 @@ impl BuiltSnapshot {
             ts.push(Observation::new(hostname, hoiho_asdb::addr_octets(addr), asn));
         }
         ts
+    }
+
+    /// The PTR names (DNS reverse names) of the observed interfaces:
+    /// every address in the router graph that has a hostname.
+    pub fn hostnames(&self) -> BTreeMap<Addr, String> {
+        self.graph
+            .by_addr
+            .keys()
+            .filter_map(|&addr| {
+                let h = self.internet.iface_at(addr)?.hostname.as_deref()?;
+                Some((addr, h.to_string()))
+            })
+            .collect()
     }
 
     /// Ground-truth accuracy of the training ASNs over observed routers

@@ -29,7 +29,7 @@
 //! Overhead budget: an instrumented hot-path operation adds one or two
 //! relaxed atomic RMWs (&lt; ~5 ns each); nothing on the hot path takes
 //! a lock or allocates. The acceptance bar (DESIGN.md §7d) is ≤ 5% on
-//! the `serve/extract_large` and `cluster` bench medians.
+//! the `serve/extract/single_loop` and `cluster` bench medians.
 
 pub mod events;
 pub mod metrics;
@@ -46,7 +46,6 @@ pub use span::{Layer, ReqSpan, Sampler, SpanHandle, SpanRing, TraceCtx};
 pub use trace::{Clock, ManualClock, SpanGuard, Tracer, WallClock};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Default slow-query threshold: requests slower than this land in the
@@ -143,14 +142,6 @@ impl Default for Obs {
     }
 }
 
-/// The process-global context, for call sites with no better scope
-/// (CLI one-shots). Servers and routers prefer an explicitly shared
-/// `Arc<Obs>` so tests can account for their traffic exactly.
-pub fn global() -> &'static Arc<Obs> {
-    static GLOBAL: OnceLock<Arc<Obs>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(Obs::new()))
-}
-
 /// Renders `s` as a JSON string literal (shared by the trace and event
 /// renderers).
 pub(crate) fn json_str(s: &str) -> String {
@@ -184,13 +175,6 @@ mod tests {
         obs.set_slow_threshold(Duration::from_micros(5));
         assert_eq!(obs.slow_threshold_ns(), 5_000);
         assert_eq!(obs.events().len(), 0);
-    }
-
-    #[test]
-    fn global_is_one_instance() {
-        let a = Arc::clone(global());
-        let b = Arc::clone(global());
-        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -10,18 +10,16 @@
 //! split between accepting, reading, parsing, backend work, and
 //! writing, with near-zero steady-state overhead on the hot path.
 //!
-//! The learner can publish through the same API (register a cell, park
-//! it in [`Phase::Learn`] while a phase runs); the `PROFILE` verb
-//! renders [`Profiler::render`] plus per-layer span self-time from the
-//! span ring.
+//! The `PROFILE` verb renders [`Profiler::render`] plus per-layer span
+//! self-time from the span ring.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of distinct phases.
-pub const PHASE_COUNT: usize = 8;
+pub const PHASE_COUNT: usize = 7;
 
-/// What a serving (or learning) thread is doing right now.
+/// What a serving thread is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
@@ -39,8 +37,6 @@ pub enum Phase {
     Write = 5,
     /// Flushing the out-buffer to the socket.
     Flush = 6,
-    /// Learner pipeline work (non-serving threads).
-    Learn = 7,
 }
 
 impl Phase {
@@ -53,7 +49,6 @@ impl Phase {
         Phase::Backend,
         Phase::Write,
         Phase::Flush,
-        Phase::Learn,
     ];
 
     /// Stable lowercase name (exposition label).
@@ -66,7 +61,6 @@ impl Phase {
             Phase::Backend => "backend",
             Phase::Write => "write",
             Phase::Flush => "flush",
-            Phase::Learn => "learn",
         }
     }
 

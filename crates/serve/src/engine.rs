@@ -12,9 +12,11 @@
 //! of the hostname, longest first. The rule is written once, as
 //! [`PublicSuffixList::dispatch`], which the cluster router shares.
 //!
-//! Batch extraction ([`Engine::extract_all`]) fans out over scoped
-//! threads with each worker writing disjoint output slots, so results
-//! are positionally deterministic regardless of thread count.
+//! The server (a `BATCH` request is a sequential loop over
+//! [`Engine::extract`]), each shard of the cluster router and the §5
+//! integration in the experiments answer through this engine, one
+//! hostname at a time. `hoiho apply` runs the learner's conventions
+//! directly, under the same dispatch rule.
 
 use crate::model::Model;
 use hoiho::classify::NcClass;
@@ -23,14 +25,6 @@ use hoiho_obs::{Counter, Registry};
 use hoiho_psl::{lowercase, Dispatch, PublicSuffixList};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Minimum number of hostnames a batch worker must own before
-/// [`Engine::extract_all`] spawns it. Extraction costs on the order of
-/// a microsecond per hostname while a thread spawn costs tens of
-/// microseconds, so fanning out a small batch is a net loss — the
-/// `serve/extract/batch_4_threads` bench regressed to ~0.6x
-/// single-threaded on a 213-hostname batch before this floor existed.
-pub const MIN_BATCH_CHUNK: usize = 1024;
 
 /// One compiled convention, ready to serve lookups. The regex ASTs are
 /// kept for introspection; queries run the matcher programs, lowered
@@ -221,41 +215,6 @@ impl Engine {
             None => Extraction::MISS,
         }
     }
-
-    /// Batch lookup over `threads` scoped workers (0 = one per core).
-    ///
-    /// Output slot `i` always holds the extraction for `hostnames[i]`,
-    /// and each worker owns a disjoint contiguous chunk of the output,
-    /// so the result is byte-identical for every thread count. Chunks
-    /// never shrink below [`MIN_BATCH_CHUNK`] hostnames: a batch too
-    /// small to amortize thread spawns runs on fewer workers (down to
-    /// the calling thread alone), which changes nothing positionally.
-    pub fn extract_all(&self, hostnames: &[String], threads: usize) -> Vec<Extraction> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            threads
-        };
-        let threads = threads.max(1).min(hostnames.len().max(1));
-        let mut out = vec![Extraction::MISS; hostnames.len()];
-        let chunk = hostnames.len().div_ceil(threads).max(MIN_BATCH_CHUNK);
-        if threads <= 1 || chunk >= hostnames.len() {
-            for (slot, h) in out.iter_mut().zip(hostnames) {
-                *slot = self.extract(h);
-            }
-            return out;
-        }
-        std::thread::scope(|scope| {
-            for (inputs, slots) in hostnames.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (slot, h) in slots.iter_mut().zip(inputs) {
-                        *slot = self.extract(h);
-                    }
-                });
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -331,34 +290,6 @@ mod tests {
             )],
         });
         assert_eq!(e.extract("123-99999999999.x.com").asn, None);
-    }
-
-    #[test]
-    fn batch_is_positional_and_thread_invariant() {
-        let e = engine();
-        // Larger than MIN_BATCH_CHUNK so the threaded path actually
-        // engages, and not a multiple of any chunk size.
-        let hosts: Vec<String> = (0..(3 * MIN_BATCH_CHUNK + 17))
-            .map(|i| match i % 4 {
-                0 => format!("p{i}.sgw.equinix.com"),
-                1 => format!("{i}-fr5-ix.equinix.com"),
-                2 => format!("as{i}.nts.ch"),
-                _ => format!("host{i}.example.org"),
-            })
-            .collect();
-        let baseline = e.extract_all(&hosts, 1);
-        assert_eq!(baseline.len(), hosts.len());
-        for (i, h) in hosts.iter().enumerate() {
-            assert_eq!(baseline[i], e.extract(h));
-        }
-        for threads in [2, 3, 8, 64, 0] {
-            assert_eq!(e.extract_all(&hosts, threads), baseline, "threads={threads}");
-        }
-        assert!(e.extract_all(&[], 4).is_empty());
-        // A batch below the chunk floor must stay identical too (it
-        // runs on the calling thread regardless of `threads`).
-        let small = &hosts[..MIN_BATCH_CHUNK / 2];
-        assert_eq!(e.extract_all(small, 8), baseline[..small.len()]);
     }
 
     #[test]

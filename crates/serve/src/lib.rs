@@ -10,7 +10,8 @@
 //!   render→parse→render fixpoint guarantee.
 //! * [`engine`] — a read-optimized in-memory index keyed by PSL-derived
 //!   suffix that dispatches hostnames to their convention and runs the
-//!   compiled regexes; single and thread-scoped batch APIs.
+//!   compiled regexes, one hostname per call. The server, the cluster
+//!   router's shards and the §5 experiments all answer through it.
 //! * [`server`] — a `std::net` TCP line-protocol server running a small
 //!   set of epoll readiness event loops ([`sys`] holds the in-tree
 //!   syscall shims), with protocol pipelining, a multi-hostname `BATCH`
@@ -36,7 +37,7 @@ pub mod server;
 pub mod sys;
 
 pub use chaos::{ChaosConfig, ChaosConn, ChaosStats};
-pub use engine::{CompiledNc, Engine, Extraction, MIN_BATCH_CHUNK};
+pub use engine::{CompiledNc, Engine, Extraction};
 pub use model::{EvalCounts, Model, ModelEntry, ModelError};
 pub use server::{
     Backend, Client, EngineBackend, Generation, QueryAnswer, ServerHandle, StatsSnapshot,

@@ -38,6 +38,7 @@ use hoiho::convention::NamingConvention;
 use hoiho::learner::LearnedConvention;
 use hoiho::regex::Regex;
 use hoiho::taxonomy::Taxonomy;
+use std::collections::HashSet;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -214,6 +215,10 @@ impl Model {
     /// are all errors.
     pub fn parse(text: &str) -> Result<Model, ModelError> {
         let mut entries: Vec<ModelEntry> = Vec::new();
+        // Every suffix an `S` record has named so far. The artifact can
+        // arrive from outside (`RELOAD`), so a duplicate check must cost
+        // one probe however many entries precede it.
+        let mut suffixes: HashSet<&str> = HashSet::new();
         // The entry currently being assembled: set by `S`, completed by
         // its `C` + `R` lines, flushed by the next `S` or the trailer.
         let mut open: Option<(usize, ModelEntry, bool)> = None; // (line, entry, saw_counts)
@@ -289,7 +294,7 @@ impl Model {
                     if suffix.is_empty() || suffix.chars().any(|c| c.is_whitespace()) {
                         return Err(ModelError::at(lineno, "bad suffix"));
                     }
-                    if entries.iter().any(|e| e.suffix == suffix) {
+                    if !suffixes.insert(suffix) {
                         return Err(ModelError::at(
                             lineno,
                             format!("duplicate suffix {suffix}"),
@@ -529,6 +534,18 @@ mod tests {
             Model::parse("hoiho-model\t1\nS\tx.com\tgood\t0\tstart\t3\nC\t1\t0\t0\t0\t1\t1\nR\t((\nE\t1\t1\n")
                 .unwrap_err();
         assert_eq!((err.line, err.msg.starts_with("bad regex")), (4, true));
+    }
+
+    #[test]
+    fn duplicate_suffix_reported_at_its_line_in_a_large_model() {
+        let mut m = Model {
+            entries: (0..5000).map(|i| entry(&format!("s{i}.net"), &[r"^as(\d+)\."])).collect(),
+        };
+        m.entries.push(entry("s0.net", &[r"^as(\d+)\."]));
+        let err = Model::parse(&m.render()).unwrap_err();
+        // The comment and the header, then S, C and R lines per entry.
+        assert_eq!(err.line, 2 + 3 * 5000 + 1);
+        assert_eq!(err.msg, "duplicate suffix s0.net");
     }
 
     #[test]

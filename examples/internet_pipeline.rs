@@ -7,12 +7,12 @@
 //! Run with: `cargo run --release --example internet_pipeline`
 
 use hoiho::learner::{learn_all, LearnConfig};
-use hoiho_bdrmap::integrate::{integrate, ConventionSet};
+use hoiho_bdrmap::integrate::integrate;
 use hoiho_bdrmap::refine::{self, RefineConfig};
 use hoiho_itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_netsim::SimConfig;
 use hoiho_psl::PublicSuffixList;
-use std::collections::BTreeMap;
+use hoiho_serve::{Engine, Model};
 
 fn main() {
     // 1. Synthetic Internet + traceroute campaign + router graph.
@@ -58,19 +58,16 @@ fn main() {
     // 3. Integrate extracted ASNs into bdrmapIT (§5).
     let owners = refine::infer(&snap.graph, &snap.input, &RefineConfig::default());
     // Single-ASN conventions (Figure 2 style) annotate the supplier, not
-    // the operator — exclude them from integration.
-    let conventions = ConventionSet::new(
-        learned.iter().filter(|l| !l.single).map(|l| (l.convention.clone(), l.class)),
-    );
-    let mut hostnames = BTreeMap::new();
-    for &addr in snap.graph.by_addr.keys() {
-        if let Some(iface) = snap.internet.iface_at(addr) {
-            if let Some(h) = iface.hostname.as_deref() {
-                hostnames.insert(addr, h.to_string());
-            }
-        }
-    }
-    let res = integrate(&snap.graph, &snap.input, &owners, &hostnames, &conventions);
+    // the operator — exclude them from integration. The serving engine
+    // answers each hostname, exactly as a served query would.
+    let mut model = Model::from_learned(&learned);
+    model.entries.retain(|e| !e.single);
+    let engine = Engine::new(&model);
+    let hostnames = snap.hostnames();
+    let res = integrate(&snap.graph, &snap.input, &owners, &hostnames, |h| {
+        let x = engine.extract(h);
+        Some((x.asn?, engine.conventions()[x.nc?].class))
+    });
     println!(
         "\nintegration: {} annotated interfaces; agreement {:.1}% -> {:.1}%",
         res.annotated,

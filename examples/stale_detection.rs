@@ -14,7 +14,7 @@ use hoiho::classify::NcClass;
 use hoiho::{NamingConvention, Regex};
 use hoiho_asdb::{addr_parse, As2Org, AsRelationships, IxpDirectory, Prefix, RouteTable};
 use hoiho_bdrmap::graph::RouterGraph;
-use hoiho_bdrmap::integrate::{integrate, ConventionSet};
+use hoiho_bdrmap::integrate::integrate;
 use hoiho_bdrmap::{InferenceInput, Trace};
 use std::collections::BTreeMap;
 
@@ -70,7 +70,6 @@ fn main() {
         "prov.net",
         vec![Regex::parse(r"^as(\d+)\.[a-z\d-]+\.prov\.net$").unwrap()],
     );
-    let conventions = ConventionSet::new([(nc, NcClass::Good)]);
 
     // Hostnames the provider assigned to the far-side addresses.
     //   10.0.9.1 — correct annotation (AS64500)
@@ -97,7 +96,9 @@ fn main() {
         );
     }
 
-    let res = integrate(&graph, &input, &owners, &hostnames, &conventions);
+    let res = integrate(&graph, &input, &owners, &hostnames, |h| {
+        nc.extract(h).map(|asn| (asn, NcClass::Good))
+    });
 
     println!("\ndecisions on incongruent hostnames:");
     for d in &res.decisions {

@@ -2,19 +2,12 @@
 # Compare two devkit bench result files (BENCH_<name>.json) and flag
 # median-time regressions.
 #
-#   scripts/bench_diff.sh [--quality] [--slo] OLD.json NEW.json [threshold_pct]
+#   scripts/bench_diff.sh [--slo] OLD.json NEW.json [threshold_pct]
 #
 # Benchmarks are matched by id; a benchmark whose median_ns grew by
 # more than threshold_pct (default 20) is reported as a REGRESSION and
 # the script exits nonzero. Ids present in only one file are listed but
 # never fail the diff (benches come and go across PRs).
-#
-# --quality diffs only the scalar metrics and ignores every timing
-# record, with a tighter default threshold (3%). This is the mode for
-# SCENARIOS.json: quality metrics (precision/recall/conventions) are
-# bit-deterministic in (scenario, seed), so even a small drop is a
-# genuine regression, while the latency rows jitter by a log-histogram
-# bucket on a noisy host and must never gate.
 #
 # --slo appends summary rows computed from NEW.json alone: for every
 # benchmark id that also exists in a "<id>_traced" variant (the serve
@@ -38,26 +31,18 @@
 # dependency-free workspace.
 set -euo pipefail
 
-QUALITY=0
 SLO=0
-while :; do
-    case "${1:-}" in
-        --quality) QUALITY=1; shift ;;
-        --slo) SLO=1; shift ;;
-        *) break ;;
-    esac
-done
+if [ "${1:-}" = --slo ]; then
+    SLO=1
+    shift
+fi
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
-    echo "usage: $0 [--quality] [--slo] OLD.json NEW.json [threshold_pct]" >&2
+    echo "usage: $0 [--slo] OLD.json NEW.json [threshold_pct]" >&2
     exit 2
 fi
 OLD=$1
 NEW=$2
-if [ "$QUALITY" = 1 ]; then
-    THRESHOLD=${3:-3}
-else
-    THRESHOLD=${3:-20}
-fi
+THRESHOLD=${3:-20}
 [ -f "$OLD" ] || { echo "bench_diff: no such file: $OLD" >&2; exit 2; }
 [ -f "$NEW" ] || { echo "bench_diff: no such file: $NEW" >&2; exit 2; }
 
@@ -77,7 +62,6 @@ extract "$NEW" | sort > "${TMPDIR:-/tmp}/bench_diff_new.$$"
 trap 'rm -f "${TMPDIR:-/tmp}/bench_diff_old.$$" "${TMPDIR:-/tmp}/bench_diff_new.$$"' EXIT
 
 STATUS=0
-if [ "$QUALITY" = 0 ]; then
 join -t "$(printf '\t')" \
     "${TMPDIR:-/tmp}/bench_diff_old.$$" "${TMPDIR:-/tmp}/bench_diff_new.$$" |
 awk -F'\t' -v thr="$THRESHOLD" '
@@ -101,7 +85,6 @@ comm -13 "${TMPDIR:-/tmp}/bench_diff_old.$$" "${TMPDIR:-/tmp}/bench_diff_new.$$"
     cut -f1 | while read -r id; do
         grep -q "^$id	" "${TMPDIR:-/tmp}/bench_diff_old.$$" || echo "added       $id"
     done
-fi
 
 # Scalar metric records carry "value" instead of "median_ns".
 extract_metrics() {

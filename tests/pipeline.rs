@@ -2,16 +2,31 @@
 //! resolution → ownership inference → Hoiho learning → §5 integration,
 //! asserting the paper's qualitative claims hold end to end.
 
-use hoiho_repro::bdrmap::integrate::{integrate, ConventionSet};
+use hoiho_repro::asdb::{addr_parse, As2Org, AsRelationships, Asn, IxpDirectory, RouteTable};
+use hoiho_repro::bdrmap::graph::RouterGraph;
+use hoiho_repro::bdrmap::integrate::integrate;
+use hoiho_repro::bdrmap::{InferenceInput, Trace};
+use hoiho_repro::cluster::ShardRouter;
 use hoiho_repro::hoiho::classify::NcClass;
 use hoiho_repro::hoiho::learner::{learn_all, LearnConfig};
+use hoiho_repro::hoiho::regex::Regex;
+use hoiho_repro::hoiho::taxonomy::Taxonomy;
 use hoiho_repro::itdk::{BuiltSnapshot, Method, SnapshotSpec};
 use hoiho_repro::netsim::SimConfig;
 use hoiho_repro::psl::PublicSuffixList;
+use hoiho_repro::serve::model::{EvalCounts, ModelEntry};
+use hoiho_repro::serve::{Engine, Model};
 use std::collections::BTreeMap;
 
 fn spec(method: Method, seed: u64) -> SnapshotSpec {
     SnapshotSpec { label: format!("it-{seed}"), method, cfg: SimConfig::tiny(seed), alias_split: 0.3 }
+}
+
+/// The §5 answer of a hostname: the engine's extracted ASN and the §4
+/// class of the convention it dispatched to.
+fn answer_of(engine: &Engine, hostname: &str) -> Option<(Asn, NcClass)> {
+    let x = engine.extract(hostname);
+    Some((x.asn?, engine.conventions()[x.nc?].class))
 }
 
 #[test]
@@ -58,19 +73,12 @@ fn integration_improves_against_ground_truth() {
     });
     let psl = PublicSuffixList::builtin();
     let groups = snap.training_set().by_suffix(&psl);
-    let learned = learn_all(&groups, &LearnConfig::default());
-    let conventions = ConventionSet::new(
-        learned.iter().filter(|l| !l.single).map(|l| (l.convention.clone(), l.class)),
-    );
-    let mut hostnames = BTreeMap::new();
-    for &addr in snap.graph.by_addr.keys() {
-        if let Some(iface) = snap.internet.iface_at(addr) {
-            if let Some(h) = iface.hostname.as_deref() {
-                hostnames.insert(addr, h.to_string());
-            }
-        }
-    }
-    let res = integrate(&snap.graph, &snap.input, &snap.owners, &hostnames, &conventions);
+    let mut model = Model::from_learned(&learn_all(&groups, &LearnConfig::default()));
+    model.entries.retain(|e| !e.single);
+    let engine = Engine::new(&model);
+    let answer = |h: &str| answer_of(&engine, h);
+    let hostnames = snap.hostnames();
+    let res = integrate(&snap.graph, &snap.input, &snap.owners, &hostnames, answer);
     assert!(res.annotated > 20, "annotated: {}", res.annotated);
     assert!(res.final_rate() >= res.initial_rate());
 
@@ -78,7 +86,7 @@ fn integration_improves_against_ground_truth() {
     let score = |owners: &[Option<u32>]| -> (usize, usize) {
         let (mut ok, mut all) = (0, 0);
         for (&addr, h) in &hostnames {
-            if conventions.extract(h).is_none() {
+            if answer(h).is_none() {
                 continue;
             }
             let ridx = snap.graph.by_addr[&addr];
@@ -168,4 +176,78 @@ fn good_conventions_have_high_ppv_on_holdout() {
     assert!(ok > 0);
     let ppv = ok as f64 / (ok + bad) as f64;
     assert!(ppv > 0.75, "holdout PPV {ppv:.2}");
+}
+
+#[test]
+fn sec5_answers_hostnames_as_the_engine_and_the_router_do() {
+    // The cluster router's test model: a registrable domain with a
+    // deeper suffix under it, so the PSL rule's precedence shows.
+    let entry = |suffix: &str, class: NcClass, rx: &str| ModelEntry {
+        suffix: suffix.to_string(),
+        class,
+        single: false,
+        taxonomy: Taxonomy::Start,
+        hostnames: 5,
+        counts: EvalCounts::default(),
+        regexes: vec![Regex::parse(rx).unwrap()],
+    };
+    let model = Model {
+        entries: vec![
+            entry("equinix.com", NcClass::Good, r"^[^\.]+\.[^\.]+\.as(\d+)\.equinix\.com$"),
+            entry("nts.ch", NcClass::Good, r"^[^\.]+\.\d+\.[a-z]+\.as(\d+)\.nts\.ch$"),
+            entry("sgw.equinix.com", NcClass::Poor, r"^p(\d+)\.sgw\.equinix\.com$"),
+            entry("example.net", NcClass::Promising, r"^as(\d+)\.example\.net$"),
+        ],
+    };
+    let engine = Engine::new(&model);
+    let router = ShardRouter::from_model(&model, 2, 64).unwrap();
+
+    // One trace whose hops carry the hostnames. `p714.sgw.equinix.com`
+    // dispatches to `equinix.com` (the registrable domain), whose regex
+    // does not match it; `AS3356.EXAMPLE.NET` is answered case-blind.
+    let names = [
+        "a.b.as64500.equinix.com",
+        "p714.sgw.equinix.com",
+        "as3356.example.net",
+        "AS3356.EXAMPLE.NET",
+        "ge0-2.01.p.as15576.nts.ch",
+        "nothing.example.org",
+    ];
+    let addr = |i: usize| addr_parse(&format!("10.0.0.{}", i + 1)).unwrap();
+    let input = InferenceInput {
+        bgp: RouteTable::new(),
+        rel: AsRelationships::new(),
+        org: As2Org::new(),
+        ixps: IxpDirectory::new(),
+        aliases: vec![],
+        traces: vec![Trace {
+            vp_asn: 65000,
+            dst: addr(names.len()),
+            hops: (0..=names.len()).map(|i| Some(addr(i))).collect(),
+        }],
+    };
+    let graph = RouterGraph::build(&input);
+    let hostnames: BTreeMap<_, _> =
+        names.iter().enumerate().map(|(i, h)| (addr(i), h.to_string())).collect();
+
+    // With no initial owners, every annotated interface is a decision.
+    let owners = vec![None; graph.len()];
+    let res = integrate(&graph, &input, &owners, &hostnames, |h| answer_of(&engine, h));
+    let decided: Vec<(&str, Option<(Asn, NcClass)>)> =
+        res.decisions.iter().map(|d| (d.hostname.as_str(), Some((d.extracted, d.class)))).collect();
+    let expected: Vec<(&str, Option<(Asn, NcClass)>)> = hostnames
+        .values()
+        .map(|h| (h.as_str(), answer_of(&engine, h)))
+        .filter(|(_, a)| a.is_some())
+        .collect();
+    assert_eq!(decided, expected);
+    assert_eq!(res.annotated, expected.len());
+    for (h, answer) in &decided {
+        let routed = router.lookup(h);
+        assert_eq!(*answer, routed.asn.zip(routed.class), "router disagrees on {h}");
+    }
+    // The two names where a longest-label-suffix, case-sensitive lookup
+    // would answer otherwise.
+    assert!(!decided.iter().any(|(h, _)| *h == "p714.sgw.equinix.com"));
+    assert!(decided.contains(&("AS3356.EXAMPLE.NET", Some((3356, NcClass::Promising)))));
 }

@@ -80,24 +80,6 @@ fn saved_model_serves_the_learners_extractions() {
 }
 
 #[test]
-fn threaded_batches_match_single_threaded() {
-    // Regression mirroring the learn_all threads test: batch extraction
-    // must be byte-identical however the work is sharded.
-    let (snap, learned) = learn(4242);
-    let engine = Engine::new(&Model::from_learned(&learned));
-    let hostnames: Vec<String> =
-        snap.training_set().observations().iter().map(|o| o.hostname.clone()).collect();
-    assert!(hostnames.len() > 100);
-    let single = engine.extract_all(&hostnames, 1);
-    for threads in [2, 4, 7, 32, 0] {
-        assert_eq!(engine.extract_all(&hostnames, threads), single, "threads={threads}");
-    }
-    for (h, x) in hostnames.iter().zip(&single) {
-        assert_eq!(engine.extract(h), *x);
-    }
-}
-
-#[test]
 fn live_tcp_server_smoke() {
     // Serve the learned model on an ephemeral port, query it over real
     // sockets, read STATS, and shut down cleanly.
