@@ -15,12 +15,14 @@ use hoiho_serve::{Engine, Model, ServerHandle};
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// A learned model plus every training hostname, the serving workload.
+/// A learned model plus every training hostname, the serving workload:
+/// the default-size simulated snapshot, so the artifact rows time a
+/// model of tens of conventions.
 fn workload() -> (Model, Vec<String>) {
     let snap = BuiltSnapshot::build(&SnapshotSpec {
         label: "bench-serve".into(),
         method: Method::BdrmapIt,
-        cfg: SimConfig::tiny(2020),
+        cfg: SimConfig::default(),
         alias_split: 0.3,
     });
     let training = snap.training_set();

@@ -10,12 +10,16 @@
 //! * [`cache`] — a std-only bounded LRU striped across mutex-guarded
 //!   segments, with read-time validation hooks and
 //!   hit/miss/insert/evict/invalidation counters.
-//! * [`router`] — the shard router: dispatches by PSL registrable
-//!   domain with longest-first label-suffix fallback preserved across
-//!   shard boundaries, serves through the cache with per-shard
-//!   generation (and global epoch) tags so a reloaded shard can never
-//!   be answered from stale cache, and plugs into the serve protocol
-//!   loop as a [`hoiho_serve::Backend`].
+//! * [`router`] — the shard router: one immutable routing state (the
+//!   shards' engines and a suffix table over all of them), swapped
+//!   whole on reload. Each lookup reads it once and dispatches once by
+//!   PSL registrable domain with longest-first label-suffix fallback
+//!   preserved across shard boundaries, then runs the chosen
+//!   convention directly. It serves through the cache with per-shard
+//!   generation (and reload epoch) tags taken from the state that
+//!   computed the answer, so a reloaded shard can never be answered
+//!   from stale cache, and it plugs into the serve protocol loop as a
+//!   [`hoiho_serve::Backend`].
 //!
 //! The `hoiho-serve` binary lives in this crate (the serve crate sits
 //! below the cluster layer): `shard` splits an artifact on disk, and

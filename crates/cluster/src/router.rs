@@ -3,25 +3,26 @@
 //!
 //! # Dispatch
 //!
-//! A global routing table maps every model suffix to its owning shard.
-//! A lookup lowercases the hostname once, then routes by the same rule
-//! a single engine dispatches by ([`PublicSuffixList::dispatch`]):
-//! first by PSL registrable domain, then by longest-first label suffix,
-//! the outcome becoming the cached answer's route tag. Because the
-//! routing table is the union of all shard indexes, the longest
-//! matching suffix globally is found even when registrable-domain
-//! routing misses — fallback semantics are preserved across shard
-//! boundaries, and the shard's own engine then re-dispatches internally
-//! to the same convention (the longest suffix it holds is the longest
-//! in the union, since a longer one in this shard would also be in the
-//! union).
+//! The router's state is one immutable [`Routes`] value: every shard's
+//! live generation, a suffix table mapping each model suffix to its
+//! owning shard and to the convention's index in that shard's engine,
+//! and the counters cache tags are checked against. A lookup
+//! lowercases the hostname once, reads the state once, and dispatches
+//! once over the table by the rule a single engine dispatches by
+//! ([`PublicSuffixList::dispatch`]): first by PSL registrable domain,
+//! then by longest-first label suffix, the outcome becoming the cached
+//! answer's route tag. Because the table is the union of all shard
+//! indexes, the longest matching suffix globally is found even when
+//! registrable-domain routing misses, so fallback semantics hold
+//! across shard boundaries. The dispatched convention then runs
+//! directly; the shard's engine never dispatches again.
 //!
 //! # Cache safety across reloads
 //!
 //! Cached answers are tagged with a [`Route`]: the shard and its
-//! generation for registrable-domain (exact) routes, or the global
-//! routing epoch for fallback and miss routes. A read revalidates the
-//! tag against the live counters, so a stale answer is never served:
+//! generation for registrable-domain (exact) routes, or the routing
+//! epoch for fallback and miss routes. A read revalidates the tag
+//! against the state it read, so a stale answer is never served:
 //!
 //! * Reloading shard *k* bumps *k*'s generation — every cached answer
 //!   computed by *k*'s old engine fails validation.
@@ -33,26 +34,27 @@
 //!   rejected), so another shard's registrable-domain dispatch cannot
 //!   be affected.
 //!
-//! The compute path samples `epoch → routing → generation → engine`,
-//! in that order, while a reload installs `engine → routing → bump
-//! generation+epoch → invalidate`. A lookup racing a reload may
-//! compute on the new engine but always carries the *old* tag, so the
-//! racing insert can never validate after the bump — at worst it
-//! lingers unservable until evicted. Eager invalidation after the bump
-//! just reclaims space early.
+//! A reload builds the next state whole and swaps it in, then
+//! invalidates against it. A lookup computes its answer and takes its
+//! tag from the one state it read, so the two always agree: a lookup
+//! racing a reload answers as of the old state under the old state's
+//! tag, which fails validation against the new one. At worst such an
+//! insert lingers unservable until evicted; the eager invalidation
+//! after the swap just reclaims space early.
 
 use crate::cache::{CacheStats, ShardedLru};
 use crate::plan::split;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
 use hoiho_psl::{lowercase, Dispatch, PublicSuffixList};
+use hoiho_serve::engine::Extraction;
 use hoiho_serve::model::Model;
 use hoiho_serve::server::{Backend, Generation, QueryAnswer};
 use hoiho_serve::Engine;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// A router construction or reload failure.
@@ -89,13 +91,49 @@ pub struct CachedAnswer {
     pub answer: QueryAnswer,
 }
 
-/// One shard: a hot-swappable engine generation plus its reload count.
-struct ShardSlot {
-    /// The live generation (engine + per-suffix counters).
-    gen: RwLock<Arc<Generation>>,
-    /// Bumped on every reload of this shard; cached exact routes record
-    /// the value they were computed under.
-    generation_no: AtomicU64,
+/// The router's whole routing state, immutable once built: a reload
+/// builds the next one and swaps it in (see module docs).
+struct Routes {
+    /// suffix → (owning shard, the convention's index in that shard's
+    /// engine); keys are shared with the conventions' `CompiledNc::suffix`.
+    table: HashMap<Arc<str>, (u32, usize)>,
+    /// Each shard's live generation (engine + per-suffix counters).
+    shards: Vec<Arc<Generation>>,
+    /// Each shard's reload count; cached exact routes record it.
+    generations: Vec<u64>,
+    /// Reloads of any shard; cached fallback/miss routes record it.
+    epoch: u64,
+}
+
+impl Routes {
+    /// Indexes the shards' conventions. Fails if one suffix is held
+    /// twice.
+    fn new(
+        shards: Vec<Arc<Generation>>,
+        generations: Vec<u64>,
+        epoch: u64,
+    ) -> Result<Routes, RouterError> {
+        let mut table = HashMap::new();
+        for (k, gen) in shards.iter().enumerate() {
+            for (i, nc) in gen.engine.conventions().iter().enumerate() {
+                if let Some((prev, _)) = table.insert(Arc::clone(&nc.suffix), (k as u32, i)) {
+                    return Err(RouterError(format!(
+                        "suffix {} owned by both shard {prev} and shard {k}",
+                        nc.suffix
+                    )));
+                }
+            }
+        }
+        Ok(Routes { table, shards, generations, epoch })
+    }
+
+    /// True when `route`'s tag matches this state.
+    fn current(&self, route: &Route) -> bool {
+        match *route {
+            Route::Exact { shard, generation } => self.generations[shard as usize] == generation,
+            Route::Fallback { epoch, .. } | Route::Miss { epoch } => self.epoch == epoch,
+        }
+    }
 }
 
 /// Point-in-time view of one shard for `STATS CLUSTER`.
@@ -176,18 +214,14 @@ impl RouterObs {
     }
 }
 
-/// The suffix-sharded serving tier: shard engines, the routing table,
-/// and the response cache.
+/// The suffix-sharded serving tier: one routing state, swapped whole
+/// on reload, and the response cache.
 pub struct ShardRouter {
     psl: PublicSuffixList,
-    slots: Vec<ShardSlot>,
-    /// suffix → owning shard; swapped wholesale on reload.
-    routing: RwLock<Arc<HashMap<String, u32>>>,
-    /// Bumped on every reload of any shard; fallback/miss cache tags
-    /// record it.
-    epoch: AtomicU64,
+    /// The live routing state; each lookup reads it once.
+    routes: RwLock<Arc<Routes>>,
     cache: ShardedLru<CachedAnswer>,
-    /// Serializes reloads so routing rebuilds never interleave.
+    /// Serializes reloads so state rebuilds never interleave.
     reload_lock: Mutex<()>,
     /// Per-shard and cache metrics and the shard-reload event stream.
     obs: RouterObs,
@@ -202,35 +236,16 @@ impl ShardRouter {
         if shard_models.is_empty() {
             return Err(RouterError("a cluster needs at least one shard".into()));
         }
-        let mut routing: HashMap<String, u32> = HashMap::new();
-        for (k, m) in shard_models.iter().enumerate() {
-            for e in &m.entries {
-                if let Some(prev) = routing.insert(e.suffix.clone(), k as u32) {
-                    return Err(RouterError(format!(
-                        "suffix {} owned by both shard {prev} and shard {k}",
-                        e.suffix
-                    )));
-                }
-            }
-        }
-        let slots = shard_models
-            .iter()
-            .map(|m| ShardSlot {
-                gen: RwLock::new(Generation::new(Arc::new(Engine::new(m)))),
-                generation_no: AtomicU64::new(0),
-            })
-            .collect();
-        let suffix_counts: Vec<usize> =
-            shard_models.iter().map(|m| m.entries.len()).collect();
-        let obs = RouterObs::register(&suffix_counts);
+        let shards: Vec<Arc<Generation>> =
+            shard_models.iter().map(|m| Generation::new(Arc::new(Engine::new(m)))).collect();
+        let suffix_counts: Vec<usize> = shards.iter().map(|g| g.engine.len()).collect();
+        let routes = Routes::new(shards, vec![0; shard_models.len()], 0)?;
         Ok(ShardRouter {
             psl: PublicSuffixList::builtin(),
-            slots,
-            routing: RwLock::new(Arc::new(routing)),
-            epoch: AtomicU64::new(0),
+            routes: RwLock::new(Arc::new(routes)),
             cache: ShardedLru::new(cache_capacity),
             reload_lock: Mutex::new(()),
-            obs,
+            obs: RouterObs::register(&suffix_counts),
         })
     }
 
@@ -253,7 +268,7 @@ impl ShardRouter {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.slots.len()
+        self.obs.shards.len()
     }
 
     /// The response cache (for stats and tests).
@@ -261,16 +276,9 @@ impl ShardRouter {
         &self.cache
     }
 
-    /// True when `route`'s tag still matches the live counters.
-    fn route_current(&self, route: &Route) -> bool {
-        match *route {
-            Route::Exact { shard, generation } => {
-                self.slots[shard as usize].generation_no.load(Ordering::Acquire) == generation
-            }
-            Route::Fallback { epoch, .. } | Route::Miss { epoch } => {
-                self.epoch.load(Ordering::Acquire) == epoch
-            }
-        }
+    /// The live routing state.
+    fn routes(&self) -> Arc<Routes> {
+        Arc::clone(&self.routes.read().expect("routes lock poisoned: a swap panicked"))
     }
 
     /// Answers one hostname, through the cache.
@@ -289,16 +297,20 @@ impl ShardRouter {
     /// sampled request records a router span tagged with the route
     /// outcome (exact/fallback/route_miss), shard, and generation (or
     /// epoch), a cache span tagged hit/miss/stale, and — on a cache
-    /// miss — an engine span from the shard dispatch (DESIGN §7i). An
-    /// off context costs one branch per span site.
+    /// miss routed to a shard — an engine span around that shard's
+    /// convention run (DESIGN §7i). An off context costs one branch per
+    /// span site.
     pub fn lookup_traced(&self, hostname: &str, ctx: &TraceCtx) -> QueryAnswer {
         let lower = lowercase(hostname);
         let mut rsp = ctx.span(Layer::Router);
+        // One state for the whole lookup: a hit is validated against
+        // it, and a miss is computed and tagged from it.
+        let routes = self.routes();
         let mut saw_stale = false;
         let cached = {
             let mut csp = ctx.span(Layer::Cache);
             let hit = self.cache.get_valid(&lower, |v| {
-                let current = self.route_current(&v.route);
+                let current = routes.current(&v.route);
                 if !current {
                     saw_stale = true;
                     self.obs.of_route(&v.route).cache_stale.inc();
@@ -323,7 +335,7 @@ impl ShardRouter {
             tag_route(&mut rsp, &hit.route);
             return hit.answer;
         }
-        let (route, answer) = self.compute(&lower, ctx);
+        let (route, answer) = self.compute(&routes, &lower, ctx);
         tag_route(&mut rsp, &route);
         self.obs.of_route(&route).cache_misses.inc();
         let evicted = self.cache.insert(&lower, CachedAnswer { route, answer: answer.clone() });
@@ -335,44 +347,32 @@ impl ShardRouter {
 
     /// Answers one hostname, bypassing the cache (no insert either).
     pub fn lookup_uncached(&self, hostname: &str) -> QueryAnswer {
-        self.compute(&lowercase(hostname), &TraceCtx::off()).1
+        self.compute(&self.routes(), &lowercase(hostname), &TraceCtx::off()).1
     }
 
-    /// The routed compute path. Sampling order matters (module docs):
-    /// epoch, then routing, then the shard's generation, then its
-    /// engine — a racing reload leaves the tag stale, never the answer
-    /// newer than the tag claims.
-    fn compute(&self, lower: &str, ctx: &TraceCtx) -> (Route, QueryAnswer) {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let routing = Arc::clone(&self.routing.read().unwrap());
-        // Against the union of the shard indexes, so a fallback finds
-        // the longest label suffix anywhere in the cluster.
-        match self.psl.dispatch(lower, |k| routing.get(k).copied()) {
-            Dispatch::Exact(shard) => {
-                let generation =
-                    self.slots[shard as usize].generation_no.load(Ordering::Acquire);
-                let answer = self.query_shard(shard, lower, ctx);
-                (Route::Exact { shard, generation }, answer)
+    /// The routed compute path: one dispatch over `routes`' table (the
+    /// union of the shard indexes, so a fallback finds the longest
+    /// label suffix anywhere in the cluster), then the dispatched
+    /// convention runs on its shard. The tag comes from `routes` too.
+    fn compute(&self, routes: &Routes, lower: &str, ctx: &TraceCtx) -> (Route, QueryAnswer) {
+        let dispatched = self.psl.dispatch(lower, |s| routes.table.get(s).copied());
+        let (route, (shard, nc)) = match dispatched {
+            Dispatch::Exact(at) => {
+                (Route::Exact { shard: at.0, generation: routes.generations[at.0 as usize] }, at)
             }
-            Dispatch::Fallback(shard) => {
-                (Route::Fallback { shard, epoch }, self.query_shard(shard, lower, ctx))
-            }
-            Dispatch::Miss => (Route::Miss { epoch }, QueryAnswer::MISS),
-        }
-    }
-
-    /// Dispatches a pre-lowercased hostname to shard `k`'s engine.
-    fn query_shard(&self, k: u32, lower: &str, ctx: &TraceCtx) -> QueryAnswer {
-        let slot = &self.slots[k as usize];
-        self.obs.shards[k as usize].queries.inc();
+            Dispatch::Fallback(at) => (Route::Fallback { shard: at.0, epoch: routes.epoch }, at),
+            Dispatch::Miss => return (Route::Miss { epoch: routes.epoch }, QueryAnswer::MISS),
+        };
+        let k = shard as usize;
+        self.obs.shards[k].queries.inc();
         let mut esp = ctx.span(Layer::Engine);
-        esp.shard(k);
-        esp.generation(slot.generation_no.load(Ordering::Acquire));
-        let gen = Arc::clone(&slot.gen.read().unwrap());
-        let x = gen.engine.extract_lower(lower);
-        let answer = gen.answer_of(x);
+        esp.shard(shard);
+        esp.generation(routes.generations[k]);
+        let gen = &routes.shards[k];
+        let asn = gen.engine.conventions()[nc].extract_lower(lower);
+        let answer = gen.answer_of(Extraction { nc: Some(nc), asn });
         esp.detail(if answer.asn.is_some() { detail::EXTRACT_HIT } else { detail::EXTRACT_MISS });
-        answer
+        (route, answer)
     }
 
     /// Hot-reloads shard `k` with a new model. The new model may add
@@ -380,16 +380,17 @@ impl ShardRouter {
     /// On success the shard's generation and the global epoch advance
     /// and stale cache entries are dropped; on failure nothing changes.
     pub fn reload_shard(&self, k: u32, model: &Model) -> Result<usize, RouterError> {
-        let Some(slot) = self.slots.get(k as usize) else {
+        let _serialize = self.reload_lock.lock().expect("reload lock poisoned: a reload panicked");
+        let live = self.routes();
+        let i = k as usize;
+        if i >= live.shards.len() {
             return Err(RouterError(format!(
                 "shard {k} out of range (cluster has {})",
-                self.slots.len()
+                live.shards.len()
             )));
-        };
-        let _serialize = self.reload_lock.lock().unwrap();
-        let current = Arc::clone(&self.routing.read().unwrap());
+        }
         for e in &model.entries {
-            if let Some(&owner) = current.get(&e.suffix) {
+            if let Some(&(owner, _)) = live.table.get(e.suffix.as_str()) {
                 if owner != k {
                     return Err(RouterError(format!(
                         "suffix {} is owned by shard {owner}; reload of shard {k} may not \
@@ -399,23 +400,17 @@ impl ShardRouter {
                 }
             }
         }
-        let engine = Arc::new(Engine::new(model));
-        let n = engine.len();
-        // Install order per module docs: engine, routing, counters,
-        // then eager invalidation.
-        *slot.gen.write().unwrap() = Generation::new(engine);
-        let mut next: HashMap<String, u32> =
-            current.iter().filter(|&(_, &s)| s != k).map(|(s, &o)| (s.clone(), o)).collect();
-        for e in &model.entries {
-            next.insert(e.suffix.clone(), k);
-        }
-        *self.routing.write().unwrap() = Arc::new(next);
-        slot.generation_no.fetch_add(1, Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::Release);
-        self.cache.invalidate(|v| !self.route_current(&v.route));
-        let m = &self.obs.shards[k as usize];
+        let mut shards = live.shards.clone();
+        shards[i] = Generation::new(Arc::new(Engine::new(model)));
+        let mut generations = live.generations.clone();
+        generations[i] += 1;
+        let next = Arc::new(Routes::new(shards, generations, live.epoch + 1)?);
+        // Swap, then invalidate against the state just installed.
+        *self.routes.write().expect("routes lock poisoned: a swap panicked") = Arc::clone(&next);
+        self.cache.invalidate(|v| !next.current(&v.route));
+        let (n, generation) = (next.shards[i].engine.len(), next.generations[i]);
+        let m = &self.obs.shards[i];
         m.reloads.inc();
-        let generation = slot.generation_no.load(Ordering::Acquire);
         m.generation.set(generation as i64);
         m.suffixes.set(n as i64);
         self.obs.obs.events().record(
@@ -431,16 +426,16 @@ impl ShardRouter {
 
     /// Total conventions across all shards.
     pub fn model_len(&self) -> usize {
-        self.slots.iter().map(|s| s.gen.read().unwrap().engine.len()).sum()
+        self.routes().shards.iter().map(|g| g.engine.len()).sum()
     }
 
     /// Per-suffix query counts, shard by shard in index order (the
     /// cluster analogue of the single engine's `STATS SUFFIX`). Cache
     /// hits do not reach an engine and are not counted here.
     pub fn per_suffix(&self) -> Vec<(String, u64)> {
+        let routes = self.routes();
         let mut out = Vec::new();
-        for slot in &self.slots {
-            let gen = Arc::clone(&slot.gen.read().unwrap());
+        for gen in &routes.shards {
             for (nc, n) in gen.engine.conventions().iter().zip(&gen.per_suffix) {
                 out.push((nc.suffix.to_string(), n.load(Ordering::Relaxed)));
             }
@@ -450,14 +445,17 @@ impl ShardRouter {
 
     /// Per-shard stats snapshot.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.slots
+        let routes = self.routes();
+        routes
+            .shards
             .iter()
+            .zip(&routes.generations)
             .zip(&self.obs.shards)
             .enumerate()
-            .map(|(k, (slot, m))| ShardStats {
+            .map(|(k, ((gen, &generation), m))| ShardStats {
                 shard: k as u32,
-                generation: slot.generation_no.load(Ordering::Acquire),
-                suffixes: slot.gen.read().unwrap().engine.len(),
+                generation,
+                suffixes: gen.engine.len(),
                 queries: m.queries.get(),
             })
             .collect()
@@ -602,6 +600,11 @@ mod tests {
         }
     }
 
+    /// Each suffix's owning shard, read from the live routing state.
+    fn owners(router: &ShardRouter) -> HashMap<String, u32> {
+        router.routes().table.iter().map(|(s, &(k, _))| (s.to_string(), k)).collect()
+    }
+
     const HOSTS: &[&str] = &[
         "ge0-2.01.p.as15576.nts.ch",
         "a.b.as64500.equinix.com",
@@ -675,7 +678,7 @@ mod tests {
     fn reload_invalidates_only_what_it_must() {
         let m = model();
         let router = ShardRouter::from_model(&m, 2, 64).unwrap();
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = owners(&router);
         let nts_shard = routing["nts.ch"];
         // Prime: one exact answer per shard, one miss.
         for h in HOSTS {
@@ -728,7 +731,7 @@ mod tests {
     fn reload_may_not_steal_a_suffix() {
         let m = model();
         let router = ShardRouter::from_model(&m, 2, 0).unwrap();
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = owners(&router);
         let victim = &m.entries[0].suffix;
         let thief = (routing[victim] + 1) % 2;
         let steal = Model { entries: vec![m.entries[0].clone()] };
@@ -747,9 +750,9 @@ mod tests {
         router.reload_shard(0, &fresh).unwrap();
         assert_eq!(router.lookup("as1.fresh.io").asn, Some(1), "new suffix routed after reload");
         // Suffixes previously on shard 0 are gone from routing.
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = owners(&router);
         assert_eq!(routing.values().filter(|&&s| s == 0).count(), 1);
-        assert_eq!(router.model_len(), 1 + router.slots[1].gen.read().unwrap().engine.len());
+        assert_eq!(router.model_len(), 1 + router.routes().shards[1].engine.len());
     }
 
     #[test]
@@ -767,7 +770,7 @@ mod tests {
         let m = model();
         let router = ShardRouter::from_model(&m, 2, 64).unwrap();
         let obs = router.obs();
-        let routing = Arc::clone(&router.routing.read().unwrap());
+        let routing = owners(&router);
         let eq = routing["equinix.com"];
         let s = eq.to_string();
         let c = |name: &str, shard: &str| obs.registry().counter(name, &[("shard", shard)]).get();

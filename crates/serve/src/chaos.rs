@@ -238,8 +238,9 @@ mod tests {
     fn echo_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        // One connection per test; the thread ends after it closes.
         let h = std::thread::spawn(move || {
-            while let Ok((mut s, _)) = listener.accept() {
+            if let Ok((mut s, _)) = listener.accept() {
                 let mut buf = [0u8; 4096];
                 loop {
                     match s.read(&mut buf) {
@@ -251,8 +252,6 @@ mod tests {
                         }
                     }
                 }
-                // One connection per test; stop after it closes.
-                break;
             }
         });
         (addr, h)

@@ -13,10 +13,12 @@
 //! [`PublicSuffixList::dispatch`], which the cluster router shares.
 //!
 //! The server (a `BATCH` request is a sequential loop over
-//! [`Engine::extract`]), each shard of the cluster router and the §5
-//! integration in the experiments answer through this engine, one
-//! hostname at a time. `hoiho apply` runs the learner's conventions
-//! directly, under the same dispatch rule.
+//! [`Engine::extract`]) and the §5 integration in the experiments
+//! answer through this engine, one hostname at a time. The cluster
+//! router dispatches once over the union of its shards' suffixes and
+//! runs the dispatched shard engine's compiled convention
+//! ([`CompiledNc::extract_lower`]) directly. `hoiho apply` runs the
+//! learner's conventions directly, under the same dispatch rule.
 
 use crate::model::Model;
 use hoiho::classify::NcClass;
@@ -203,15 +205,9 @@ impl Engine {
     /// is lowercased into a copy, any other is used as is, so a
     /// lowercase lookup allocates nothing.
     pub fn extract(&self, hostname: &str) -> Extraction {
-        self.extract_lower(&lowercase(hostname))
-    }
-
-    /// [`Engine::extract`] for a hostname the caller has already
-    /// lowercased — the cluster router lowercases once for routing and
-    /// must not pay for it again per shard.
-    pub fn extract_lower(&self, lower: &str) -> Extraction {
-        match self.dispatch(lower) {
-            Some(i) => Extraction { nc: Some(i), asn: self.ncs[i].extract_lower(lower) },
+        let lower = lowercase(hostname);
+        match self.dispatch(&lower) {
+            Some(i) => Extraction { nc: Some(i), asn: self.ncs[i].extract_lower(&lower) },
             None => Extraction::MISS,
         }
     }
@@ -337,14 +333,6 @@ mod tests {
         let small = Engine::new(&Model { entries: vec![entry("equinix.com", &real)] });
         for h in ["p714.sgw.equinix.com", "24482-fr5-ix.equinix.com", "www.equinix.com"] {
             assert_eq!(big.extract(h).asn, small.extract(h).asn, "{h}");
-        }
-    }
-
-    #[test]
-    fn prelowered_extraction_matches() {
-        let e = engine();
-        for h in ["GE0-2.01.P.AS15576.NTS.CH", "p714.sgw.equinix.com", "x.example.org"] {
-            assert_eq!(e.extract_lower(&h.to_ascii_lowercase()), e.extract(h));
         }
     }
 }

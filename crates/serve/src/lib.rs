@@ -10,8 +10,10 @@
 //!   render→parse→render fixpoint guarantee.
 //! * [`engine`] — a read-optimized in-memory index keyed by PSL-derived
 //!   suffix that dispatches hostnames to their convention and runs the
-//!   compiled regexes, one hostname per call. The server, the cluster
-//!   router's shards and the §5 experiments all answer through it.
+//!   compiled regexes, one hostname per call. The server and the §5
+//!   experiments answer through it; the cluster router dispatches once
+//!   over all its shards' suffixes and runs the chosen shard engine's
+//!   compiled convention ([`engine::CompiledNc`]) directly.
 //! * [`server`] — a `std::net` TCP line-protocol server running a small
 //!   set of epoll readiness event loops ([`sys`] holds the in-tree
 //!   syscall shims), with protocol pipelining, a multi-hostname `BATCH`

@@ -2,7 +2,9 @@
 # Tier-1 gate: what must be green before any PR merges.
 #   1. The hermetic-dependency check (manifests are path-only).
 #   2. A clean offline release build of the whole workspace, including
-#      every example and binary.
+#      every example and binary, then clippy over every workspace
+#      target: a deny-by-default (error-level) lint fails the gate; its
+#      warnings stay advisory.
 #   3. The full test suite of every workspace crate, offline (the root
 #      package's integration tests plus each crate's own unit and
 #      integration tests; `hoiho-bench` is excluded, see below), then
@@ -60,6 +62,14 @@ cd "$(dirname "$0")/.."
 
 ./scripts/no-external-deps.sh
 cargo build --release --offline --workspace --examples --bins
+
+# --- clippy: an error-level lint fails the gate; its warnings stay
+# advisory and are printed only when it fails ---
+cargo clippy -q --offline --workspace --all-targets 2> /dev/null \
+    || { cargo clippy --offline --workspace --all-targets >&2 || true
+         echo "tier1: cargo clippy failed (an error-level lint or a build error)" >&2; exit 1; }
+echo "tier1: clippy OK"
+
 # hoiho-bench's lib holds two tests that fail at the time of writing
 # (futurework::tests::sweep_expands_coverage and
 # pipeline::tests::peeringdb_ppv_highest); it stays out until they are

@@ -1,8 +1,9 @@
 //! Allocation gates, read from a per-thread counting global allocator:
 //!
 //! * the serving lookup path: every layer a query crosses — PSL
-//!   dispatch, the engine, answer building and a router cache hit —
-//!   allocates nothing per call;
+//!   dispatch, the engine, answer building, a router cache hit and the
+//!   router's routed compute on a cache miss — allocates nothing per
+//!   call;
 //! * the learner: one `learn_suffix` call on the Figure 4 data and on a
 //!   400-hostname synthetic suffix stays within a fixed allocation
 //!   budget and a fixed number of compiled-program runs, the
@@ -167,6 +168,21 @@ fn router_cache_hit_allocates_nothing() {
     }
     let stats = router.cache_stats();
     assert_eq!(stats.misses, HOSTS.len() as u64, "every repeat must hit the cache");
+}
+
+#[test]
+fn router_compute_allocates_nothing() {
+    let router = ShardRouter::from_model(&model(), 2, 64).unwrap();
+    assert_eq!(router.lookup_uncached("p714.sgw.equinix.com").asn, Some(714));
+    assert_eq!(router.lookup_uncached("as100.net.example.com").asn, Some(100));
+    for &(shape, h) in HOSTS {
+        let first = router.lookup_uncached(h);
+        let n = allocs_in_64_calls(|| {
+            assert_eq!(router.lookup_uncached(black_box(h)), first);
+        });
+        assert_eq!(n, 0, "ShardRouter::lookup_uncached on the {shape} name {h:?}");
+    }
+    assert!(router.cache().is_empty(), "the routed miss path must not touch the cache");
 }
 
 /// The Figure 4 Equinix training data (as in the learning bench).
