@@ -4,18 +4,19 @@
 //! # Dispatch
 //!
 //! The router's state is one immutable [`Routes`] value: every shard's
-//! live generation, a suffix table mapping each model suffix to its
-//! owning shard and to the convention's index in that shard's engine,
-//! and the counters cache tags are checked against. A lookup
-//! lowercases the hostname once, reads the state once, and dispatches
-//! once over the table by the rule a single engine dispatches by
-//! ([`PublicSuffixList::dispatch`]): first by PSL registrable domain,
-//! then by longest-first label suffix, the outcome becoming the cached
-//! answer's route tag. Because the table is the union of all shard
-//! indexes, the longest matching suffix globally is found even when
-//! registrable-domain routing misses, so fallback semantics hold
-//! across shard boundaries. The dispatched convention then runs
-//! directly; the shard's engine never dispatches again.
+//! live generation, one [`SuffixTable`] holding the built-in PSL's
+//! rules and every model suffix (valued by its owning shard and the
+//! convention's index in that shard's engine), and the counters cache
+//! tags are checked against. A lookup lowercases the hostname once,
+//! reads the state once, and resolves once through the table by the
+//! rule a single engine dispatches by ([`SuffixTable::resolve`], one
+//! right-to-left walk of the name's labels): first by PSL registrable
+//! domain, then by the longest indexed label suffix, the outcome
+//! becoming the cached answer's route tag. Because the table is the
+//! union of all shard indexes, the longest matching suffix globally is
+//! found even when registrable-domain routing misses, so fallback
+//! semantics hold across shard boundaries. The dispatched convention
+//! then runs directly; the shard's engine never dispatches again.
 //!
 //! # Cache safety across reloads
 //!
@@ -35,27 +36,27 @@
 //!   be affected.
 //!
 //! A reload builds the next state whole and swaps it in, then
-//! invalidates against it. A lookup computes its answer and takes its
-//! tag from the one state it read, so the two always agree: a lookup
-//! racing a reload answers as of the old state under the old state's
-//! tag, which fails validation against the new one. At worst such an
-//! insert lingers unservable until evicted; the eager invalidation
-//! after the swap just reclaims space early.
+//! invalidates against it. A lookup validates a cache hit under the
+//! state's read guard, and on a miss computes its answer and takes its
+//! tag from that same state, so the two always agree: a lookup racing
+//! a reload answers as of the old state under the old state's tag,
+//! which fails validation against the new one. At worst such an insert
+//! lingers unservable until evicted; the eager invalidation after the
+//! swap just reclaims space early.
 
 use crate::cache::{CacheStats, ShardedLru};
 use crate::plan::split;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
-use hoiho_psl::{lowercase, Dispatch, PublicSuffixList};
+use hoiho_psl::{lowercase, Dispatch, PublicSuffixList, SuffixTable};
 use hoiho_serve::engine::Extraction;
 use hoiho_serve::model::Model;
 use hoiho_serve::server::{Backend, Generation, QueryAnswer};
 use hoiho_serve::Engine;
-use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// A router construction or reload failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,9 +95,9 @@ pub struct CachedAnswer {
 /// The router's whole routing state, immutable once built: a reload
 /// builds the next one and swaps it in (see module docs).
 struct Routes {
-    /// suffix → (owning shard, the convention's index in that shard's
-    /// engine); keys are shared with the conventions' `CompiledNc::suffix`.
-    table: HashMap<Arc<str>, (u32, usize)>,
+    /// The built-in PSL's rules plus every shard's suffixes, each valued
+    /// by (owning shard, the convention's index in that shard's engine).
+    table: SuffixTable<(u32, usize)>,
     /// Each shard's live generation (engine + per-suffix counters).
     shards: Vec<Arc<Generation>>,
     /// Each shard's reload count; cached exact routes record it.
@@ -113,10 +114,10 @@ impl Routes {
         generations: Vec<u64>,
         epoch: u64,
     ) -> Result<Routes, RouterError> {
-        let mut table = HashMap::new();
+        let mut table = SuffixTable::new(PublicSuffixList::builtin());
         for (k, gen) in shards.iter().enumerate() {
             for (i, nc) in gen.engine.conventions().iter().enumerate() {
-                if let Some((prev, _)) = table.insert(Arc::clone(&nc.suffix), (k as u32, i)) {
+                if let Some((prev, _)) = table.insert(&nc.suffix, (k as u32, i)) {
                     return Err(RouterError(format!(
                         "suffix {} owned by both shard {prev} and shard {k}",
                         nc.suffix
@@ -217,7 +218,6 @@ impl RouterObs {
 /// The suffix-sharded serving tier: one routing state, swapped whole
 /// on reload, and the response cache.
 pub struct ShardRouter {
-    psl: PublicSuffixList,
     /// The live routing state; each lookup reads it once.
     routes: RwLock<Arc<Routes>>,
     cache: ShardedLru<CachedAnswer>,
@@ -241,7 +241,6 @@ impl ShardRouter {
         let suffix_counts: Vec<usize> = shards.iter().map(|g| g.engine.len()).collect();
         let routes = Routes::new(shards, vec![0; shard_models.len()], 0)?;
         Ok(ShardRouter {
-            psl: PublicSuffixList::builtin(),
             routes: RwLock::new(Arc::new(routes)),
             cache: ShardedLru::new(cache_capacity),
             reload_lock: Mutex::new(()),
@@ -276,9 +275,14 @@ impl ShardRouter {
         &self.cache
     }
 
+    /// The live routing state, read-locked.
+    fn routes_guard(&self) -> RwLockReadGuard<'_, Arc<Routes>> {
+        self.routes.read().expect("routes lock poisoned: a swap panicked")
+    }
+
     /// The live routing state.
     fn routes(&self) -> Arc<Routes> {
-        Arc::clone(&self.routes.read().expect("routes lock poisoned: a swap panicked"))
+        Arc::clone(&self.routes_guard())
     }
 
     /// Answers one hostname, through the cache.
@@ -304,13 +308,14 @@ impl ShardRouter {
         let lower = lowercase(hostname);
         let mut rsp = ctx.span(Layer::Router);
         // One state for the whole lookup: a hit is validated against
-        // it, and a miss is computed and tagged from it.
-        let routes = self.routes();
+        // it under the read guard, and only a miss takes its own
+        // reference to compute and tag its answer from it.
+        let live = self.routes_guard();
         let mut saw_stale = false;
         let cached = {
             let mut csp = ctx.span(Layer::Cache);
             let hit = self.cache.get_valid(&lower, |v| {
-                let current = routes.current(&v.route);
+                let current = live.current(&v.route);
                 if !current {
                     saw_stale = true;
                     self.obs.of_route(&v.route).cache_stale.inc();
@@ -335,6 +340,8 @@ impl ShardRouter {
             tag_route(&mut rsp, &hit.route);
             return hit.answer;
         }
+        let routes = Arc::clone(&live);
+        drop(live);
         let (route, answer) = self.compute(&routes, &lower, ctx);
         tag_route(&mut rsp, &route);
         self.obs.of_route(&route).cache_misses.inc();
@@ -350,17 +357,16 @@ impl ShardRouter {
         self.compute(&self.routes(), &lowercase(hostname), &TraceCtx::off()).1
     }
 
-    /// The routed compute path: one dispatch over `routes`' table (the
-    /// union of the shard indexes, so a fallback finds the longest
-    /// label suffix anywhere in the cluster), then the dispatched
-    /// convention runs on its shard. The tag comes from `routes` too.
+    /// The routed compute path: one walk of `routes`' table (the union
+    /// of the shard indexes, so a fallback finds the longest label
+    /// suffix anywhere in the cluster), then the dispatched convention
+    /// runs on its shard. The tag comes from `routes` too.
     fn compute(&self, routes: &Routes, lower: &str, ctx: &TraceCtx) -> (Route, QueryAnswer) {
-        let dispatched = self.psl.dispatch(lower, |s| routes.table.get(s).copied());
-        let (route, (shard, nc)) = match dispatched {
-            Dispatch::Exact(at) => {
+        let (route, (shard, nc)) = match routes.table.resolve(lower) {
+            Dispatch::Exact(&at) => {
                 (Route::Exact { shard: at.0, generation: routes.generations[at.0 as usize] }, at)
             }
-            Dispatch::Fallback(at) => (Route::Fallback { shard: at.0, epoch: routes.epoch }, at),
+            Dispatch::Fallback(&at) => (Route::Fallback { shard: at.0, epoch: routes.epoch }, at),
             Dispatch::Miss => return (Route::Miss { epoch: routes.epoch }, QueryAnswer::MISS),
         };
         let k = shard as usize;
@@ -574,6 +580,7 @@ mod tests {
     use hoiho::regex::Regex;
     use hoiho::taxonomy::Taxonomy;
     use hoiho_serve::model::{EvalCounts, ModelEntry};
+    use std::collections::HashMap;
 
     fn entry(suffix: &str, rx: &[&str]) -> ModelEntry {
         ModelEntry {
@@ -602,7 +609,9 @@ mod tests {
 
     /// Each suffix's owning shard, read from the live routing state.
     fn owners(router: &ShardRouter) -> HashMap<String, u32> {
-        router.routes().table.iter().map(|(s, &(k, _))| (s.to_string(), k)).collect()
+        let routes = router.routes();
+        let suffixes = routes.shards.iter().flat_map(|g| g.engine.conventions());
+        suffixes.map(|nc| (nc.suffix.to_string(), routes.table.get(&nc.suffix).unwrap().0)).collect()
     }
 
     const HOSTS: &[&str] = &[

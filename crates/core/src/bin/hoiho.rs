@@ -40,8 +40,7 @@ use hoiho::convention::parse_conventions;
 use hoiho::learner::{learn_all_traced, LearnConfig};
 use hoiho::training::{Observation, TrainingSet};
 use hoiho_obs::Tracer;
-use hoiho_psl::{Dispatch, PublicSuffixList};
-use std::collections::HashMap;
+use hoiho_psl::{Dispatch, PublicSuffixList, SuffixTable};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -124,23 +123,24 @@ fn learn(training: &TrainingSet, trace_path: Option<&str>) -> Result<(), String>
     Ok(())
 }
 
-/// Extracts with the convention that [`PublicSuffixList::dispatch`]
-/// picks for each hostname — the rule the serving engine and the shard
-/// router follow.
+/// Extracts with the convention that [`SuffixTable::resolve`] picks for
+/// each hostname, over the built-in PSL and the conventions' suffixes —
+/// the rule the serving engine and the shard router follow.
 fn apply(conv_path: &str, hosts_path: Option<&str>) -> Result<(), String> {
     let text =
         std::fs::read_to_string(conv_path).map_err(|e| format!("cannot read {conv_path}: {e}"))?;
     let conventions = parse_conventions(&text)?;
-    let by_suffix: HashMap<&str, usize> =
-        conventions.iter().enumerate().map(|(i, nc)| (nc.suffix.as_str(), i)).collect();
-    let psl = PublicSuffixList::builtin();
+    let mut table = SuffixTable::new(PublicSuffixList::builtin());
+    for (i, nc) in conventions.iter().enumerate() {
+        table.insert(&nc.suffix, i);
+    }
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     for hostname in cli::hostnames(hosts_path)? {
         let hostname = hostname?;
         let lower = hoiho_psl::lowercase(&hostname);
-        let hit = match psl.dispatch(&lower, |k| by_suffix.get(k).copied()) {
-            Dispatch::Exact(i) | Dispatch::Fallback(i) => conventions[i].extract(&hostname),
+        let hit = match table.resolve(&lower) {
+            Dispatch::Exact(&i) | Dispatch::Fallback(&i) => conventions[i].extract(&hostname),
             Dispatch::Miss => None,
         };
         match hit {

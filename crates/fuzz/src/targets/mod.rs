@@ -7,7 +7,7 @@
 //! | multimatch | `MultiMatcher` pool dispatch | automaton dispatch vs per-regex compiled scans (superset-exact, mask/scratch agreement) |
 //! | artifact | `Model::parse`                | render fixpoint + sharded(N) vs single engine answers |
 //! | shardmap | `ShardMap::parse`             | render fixpoint + value equality                  |
-//! | psl      | `PublicSuffixList` lookups + `dispatch` | rule-table answers vs the linear-scan reference algorithm |
+//! | psl      | `PublicSuffixList` lookups + `SuffixTable::resolve` | label-table answers vs the linear-scan reference algorithm |
 //! | scenario | `Scenario::parse`             | canonical render fixpoint                         |
 //! | framing  | server line/`BATCH` framing   | live server vs a framing reference simulation over RNG-fragmented streams |
 //! | learn    | `learn_suffix` over `asn hostname` rows | the learner's handed-over hits vs the public phases with a full evaluation of the pool |

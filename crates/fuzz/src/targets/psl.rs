@@ -1,4 +1,4 @@
-//! Public suffix list: the rule-table lookup and `dispatch` vs the
+//! Public suffix list: the label-table lookups and `resolve` vs the
 //! linear-scan algorithm the table replaced.
 //!
 //! Case layout: rule lines in Mozilla list syntax, a blank separator
@@ -6,16 +6,21 @@
 //!
 //! 1. `lookup`, `public_suffix` and `registrable_domain` equal the
 //!    [`Reference`] lookup (and both lists count the same rules);
-//! 2. `dispatch` of the lowercased host over an index of keys returns
-//!    the same outcome and hit as probing the reference registrable
-//!    domain, then the host's label suffixes longest first. The indexes
-//!    are hash-chosen halves of every label suffix of the case's hosts,
-//!    so one case reaches exact, fallback and miss outcomes.
+//! 2. [`SuffixTable::resolve`] of the lowercased host, over a table of
+//!    the case's rules plus an index of keys, returns the same outcome
+//!    and hit as probing the reference registrable domain, then the
+//!    host's label suffixes longest first. The indexes are hash-chosen
+//!    halves of every label suffix of the case's hosts plus spellings
+//!    no lowercase name reaches (uppercase, a trailing dot, the empty
+//!    key), so one case reaches exact, fallback and miss outcomes.
+//!
+//! Each index's table is built once per case, and [`SuffixTable::get`]
+//! must find exactly the keys inserted into it among every candidate.
 
 use super::Target;
 use crate::corpus::case_hash;
 use crate::input::FuzzInput;
-use hoiho_psl::{lowercase, Dispatch, PublicSuffixList, SuffixMatch};
+use hoiho_psl::{lowercase, Dispatch, PublicSuffixList, SuffixMatch, SuffixTable};
 use std::collections::HashSet;
 
 /// The label alphabet rules and hosts are drawn from — small, so hosts
@@ -118,9 +123,16 @@ impl Target for PslTarget {
             return Err(format!("rule count {} vs reference {}", psl.len(), reference.len()));
         }
         let hosts: Vec<&str> = lines.collect();
-        let keys: Vec<String> =
-            hosts.iter().flat_map(|h| label_suffixes_of(&lowercase(h))).collect();
-        let indexes = [0u8, 1, 2].map(|salt| hashed_half(&keys, salt));
+        let mut keys: Vec<String> = vec![String::new()];
+        for h in &hosts {
+            for k in label_suffixes_of(&lowercase(h)) {
+                keys.extend([k.to_string(), k.to_ascii_uppercase(), format!("{k}.")]);
+            }
+        }
+        let indexes = [0u8, 1, 2].map(|salt| Index::new(&psl, hashed_half(&keys, salt)));
+        for index in &indexes {
+            index.check_get(&keys)?;
+        }
         for host in hosts {
             check_host(&psl, &reference, host, &indexes)?;
         }
@@ -146,12 +158,44 @@ fn hashed_half(keys: &[String], salt: u8) -> HashSet<String> {
         .collect()
 }
 
+/// One suffix index, as the oracle sees it (its keys) and as serving
+/// holds it (a table over a case's rules, each key valued by itself).
+struct Index {
+    keys: HashSet<String>,
+    /// Byte length of the longest key.
+    longest: usize,
+    table: SuffixTable<String>,
+}
+
+impl Index {
+    fn new(psl: &PublicSuffixList, keys: HashSet<String>) -> Index {
+        let mut table = SuffixTable::new(psl.clone());
+        for k in &keys {
+            table.insert(k, k.clone());
+        }
+        let longest = keys.iter().map(String::len).max().unwrap_or(0);
+        Index { keys, longest, table }
+    }
+
+    /// `get` finds each candidate's own text exactly when it was
+    /// inserted.
+    fn check_get(&self, candidates: &[String]) -> Result<(), String> {
+        for k in candidates {
+            let (got, want) = (self.table.get(k), self.keys.get(k));
+            if got != want {
+                return Err(format!("get({k:?}) = {got:?}, inserted {want:?}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Runs both oracle checks on one host.
 fn check_host(
     psl: &PublicSuffixList,
     reference: &Reference,
     host: &str,
-    indexes: &[HashSet<String>],
+    indexes: &[Index],
 ) -> Result<(), String> {
     let want = reference.lookup(host);
     let got = psl.lookup(host);
@@ -168,10 +212,10 @@ fn check_host(
     }
     let lower = lowercase(host);
     for index in indexes {
-        let got = psl.dispatch(&lower, |k| index.get(k).cloned());
+        let got = index.table.resolve(&lower);
         let want = reference_dispatch(reference, &lower, index);
         if got != want {
-            return Err(format!("dispatch({lower:?}) = {got:?}, reference {want:?}"));
+            return Err(format!("resolve({lower:?}) = {got:?}, reference {want:?}"));
         }
     }
     Ok(())
@@ -179,36 +223,29 @@ fn check_host(
 
 /// Dispatch as specified: the reference registrable domain if the index
 /// holds it, else the first indexed label suffix, longest first.
-fn reference_dispatch(
+fn reference_dispatch<'i>(
     reference: &Reference,
     lower: &str,
-    index: &HashSet<String>,
-) -> Dispatch<String> {
+    index: &'i Index,
+) -> Dispatch<&'i String> {
     if let Some(rd) = reference.lookup(lower).and_then(|m| m.registrable) {
-        if index.contains(&rd) {
-            return Dispatch::Exact(rd);
+        if let Some(k) = index.keys.get(&rd) {
+            return Dispatch::Exact(k);
         }
     }
     label_suffixes_of(lower)
-        .into_iter()
-        .find(|k| index.contains(k))
+        // A suffix longer than every key equals none: skip hashing it.
+        .filter(|k| k.len() <= index.longest)
+        .find_map(|k| index.keys.get(k))
         .map_or(Dispatch::Miss, Dispatch::Fallback)
 }
 
 /// Every non-empty suffix of `name` (trailing dots dropped) that starts
 /// at a label boundary, longest first.
-fn label_suffixes_of(name: &str) -> Vec<String> {
-    let mut rest = name.trim_end_matches('.');
-    let mut out = Vec::new();
-    loop {
-        if !rest.is_empty() {
-            out.push(rest.to_string());
-        }
-        match rest.find('.') {
-            Some(i) => rest = &rest[i + 1..],
-            None => return out,
-        }
-    }
+fn label_suffixes_of(name: &str) -> impl Iterator<Item = &str> {
+    let name = name.trim_end_matches('.');
+    let starts = std::iter::once(0).chain(name.match_indices('.').map(|(dot, _)| dot + 1));
+    starts.map(move |start| &name[start..]).filter(|s| !s.is_empty())
 }
 
 /// The public suffix list algorithm as a linear scan over reversed-label
@@ -365,7 +402,7 @@ mod tests {
     fn exhaustive_small_domain_matches_reference() {
         let hosts = all_hosts();
         assert_eq!(hosts.len(), 10 + 100 + 1000 + 10_000);
-        let indexes = [0u8, 1].map(|salt| hashed_half(&hosts, salt));
+        let halves = [0u8, 1].map(|salt| hashed_half(&hosts, salt));
         let builtin = PublicSuffixList::builtin();
         assert_eq!(PublicSuffixList::parse(builtin_rules()).len(), builtin.len());
         for (set, psl, reference) in [
@@ -374,6 +411,10 @@ mod tests {
             ("kobe", PublicSuffixList::parse(KOBE), Reference::parse(KOBE)),
         ] {
             assert_eq!(psl.len(), reference.len(), "{set}");
+            let indexes = halves.clone().map(|keys| Index::new(&psl, keys));
+            for index in &indexes {
+                index.check_get(&hosts).unwrap_or_else(|e| panic!("rule set {set}: {e}"));
+            }
             for h in &hosts {
                 let (first, rest) = h.split_once('.').unwrap_or((h, ""));
                 let variants = [
@@ -389,6 +430,58 @@ mod tests {
                     check_host(&psl, &reference, v, &indexes)
                         .unwrap_or_else(|e| panic!("rule set {set}: {e}"));
                 }
+            }
+        }
+    }
+
+    /// Rules stacked on `a` labels, down to one 20 labels deep, so the
+    /// walk meets every rule kind along the hostile names below, and
+    /// two exceptions on one path, of which the deeper prevails.
+    const DEEP: &str = "a\n*.a.a\n!a.a.a.a\n!a.a.a.a.a.a\na.a.a.a.a.a.a.a.a.a.a.a.a.a.a.a.a.a.a.a\n";
+
+    /// Worst-case shapes for the walk, every one through [`check_host`]:
+    /// a request line of `MAX_LINE` bytes in one-byte labels, the DNS
+    /// maximum name, 63-byte labels, an index key 20 labels deep, and
+    /// empty labels and trailing dots on each.
+    #[test]
+    fn hostile_shapes_match_reference() {
+        let huge = vec!["a"; 32_767].join(".");
+        assert_eq!(huge.len(), 65_533);
+        assert!(huge.len() <= hoiho_serve::server::MAX_LINE);
+        let dns_max = vec!["a"; 127].join(".");
+        assert_eq!(dns_max.len(), 253);
+        let wide = ["x", "y", "z"].map(|c| c.repeat(63)).join(".") + ".com";
+        let deep = vec!["a"; 20].join(".");
+        let mut hosts = vec![huge, dns_max, wide.clone(), format!("r.{deep}"), deep.clone()];
+        for h in hosts.clone() {
+            hosts.extend([
+                format!("{h}."),
+                format!("{h}..."),
+                format!(".{h}"),
+                format!("a..{h}"),
+                h.replacen('.', "..", 1),
+                h.to_ascii_uppercase(),
+            ]);
+        }
+        // Keys from one label to 21 deep, the wide name's suffixes, and
+        // keys spelled with empty labels.
+        let mut keys: Vec<String> = (1..=21).map(|n| vec!["a"; n].join(".")).collect();
+        keys.extend(label_suffixes_of(&wide).map(String::from));
+        keys.extend(["..a", ".a", "a..a", "a.a..a.a", ""].map(String::from));
+        let halves = [0u8, 1].map(|salt| hashed_half(&keys, salt));
+        let all: HashSet<String> = keys.iter().cloned().collect();
+        for (set, rules) in
+            [("builtin", builtin_rules()), ("wildcards", WILDCARDS), ("kobe", KOBE), ("deep", DEEP)]
+        {
+            let (psl, reference) = (PublicSuffixList::parse(rules), Reference::parse(rules));
+            let indexes = [all.clone(), halves[0].clone(), halves[1].clone()]
+                .map(|keys| Index::new(&psl, keys));
+            for index in &indexes {
+                index.check_get(&keys).unwrap_or_else(|e| panic!("rule set {set}: {e}"));
+            }
+            for h in &hosts {
+                check_host(&psl, &reference, h, &indexes)
+                    .unwrap_or_else(|e| panic!("rule set {set}, {}-byte host: {e}", h.len()));
             }
         }
     }

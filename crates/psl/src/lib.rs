@@ -1,4 +1,5 @@
-//! Public suffix list parsing and effective-TLD+1 lookup.
+//! Public suffix list parsing, effective-TLD+1 lookup and suffix
+//! dispatch.
 //!
 //! Hoiho groups router hostnames by *suffix*: the registrable domain under
 //! which an operator names its routers (the paper, §3, determines suffixes
@@ -12,8 +13,15 @@
 //! * [`PublicSuffixList::registrable_domain`] — the suffix Hoiho groups by:
 //!   the public suffix plus one label (e.g. `equinix.com` for
 //!   `p714.sgw.equinix.com`).
-//! * [`PublicSuffixList::dispatch`] — the serving-side rule that finds a
-//!   hostname's entry in a suffix-keyed index of learned conventions.
+//! * [`SuffixTable::resolve`] — the serving-side rule that finds a
+//!   hostname's entry in a suffix-keyed index of learned conventions:
+//!   registrable domain first, then the longest indexed label suffix.
+//!
+//! Both run on one structure, [`SuffixTable`]: a tree of labels read
+//! right to left whose nodes carry PSL rule-kind bits and, in a serving
+//! index, a value per model suffix. A lookup walks a name's labels once,
+//! from the TLD down, and stops at the first label the tree has no child
+//! for (the design notes and measurements are in DESIGN.md §7b).
 //!
 //! The list snapshot embedded in [`PublicSuffixList::builtin`] covers the
 //! effective TLDs exercised by this reproduction (generic TLDs plus the
@@ -27,36 +35,26 @@
 //! opaque labels.
 
 mod builtin;
+mod table;
+
+pub use table::SuffixTable;
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-
-/// Rule-kind bits of a [`PublicSuffixList`] table entry. One key may
-/// carry several: `ck` and `*.ck` are both stored under `ck`.
-const NORMAL: u8 = 1;
-const WILDCARD: u8 = 2;
-const EXCEPTION: u8 = 4;
+use std::sync::OnceLock;
+use table::{has_empty_label, label_start, EXCEPTION, NORMAL, WILDCARD};
 
 /// A parsed public suffix list.
 ///
-/// Every suffix decision runs through here: the learner groups its
-/// training hostnames by registrable domain, and the serving engine and
-/// the cluster router dispatch every uncached query with it. So a lookup
-/// costs O(labels) whatever the rule count. [`Self::dispatch`] on a
-/// lowercase name allocates nothing, and [`Self::registrable_domain`]
-/// only the string it returns (plus a lowercase copy of a name that
-/// holds uppercase). The rules live in one hash table keyed by their
-/// dotted lowercase text — `org.nz` under `org.nz`, the wildcard `*.ck`
-/// under `ck`, the exception `!www.ck` under `www.ck` — and a lookup
-/// probes the name's label suffixes right to left as borrowed slices,
-/// never deeper than the deepest key. The table keeps the std hasher,
-/// randomly keyed, because the probes are hostnames from outside.
+/// The learner groups its training hostnames by registrable domain
+/// through here, and serving indexes start from its rules
+/// ([`SuffixTable::new`]). The rules live in one [`SuffixTable`] holding
+/// no values, and a lookup is one right-to-left walk of the name's
+/// labels through it: O(name length) whatever the rule count.
+/// [`Self::registrable_domain`] allocates only the string it returns
+/// (plus a lowercase copy of a name that holds uppercase).
 #[derive(Debug, Clone, Default)]
 pub struct PublicSuffixList {
-    /// Rule text → the kinds of rule stored under it.
-    rules: HashMap<Box<str>, u8>,
-    /// Label count of the deepest key in `rules`.
-    depth: usize,
+    rules: SuffixTable<()>,
 }
 
 /// Outcome of a suffix lookup on one hostname.
@@ -86,10 +84,11 @@ impl PublicSuffixList {
     }
 
     /// Returns the built-in snapshot used throughout this reproduction.
+    /// It is parsed once per process and copied per call: every engine
+    /// build and shard reload starts its table from it.
     pub fn builtin() -> Self {
-        let mut psl = Self::new();
-        psl.extend_from_str(builtin::BUILTIN_PSL);
-        psl
+        static BUILTIN: OnceLock<PublicSuffixList> = OnceLock::new();
+        BUILTIN.get_or_init(|| Self::parse(builtin::BUILTIN_PSL)).clone()
     }
 
     /// Parses a list in the Mozilla file format.
@@ -132,20 +131,18 @@ impl PublicSuffixList {
         } else {
             (NORMAL, rule)
         };
-        let key = text.trim_end_matches('.').to_ascii_lowercase();
-        self.depth = self.depth.max(key.split('.').count());
-        *self.rules.entry(key.into_boxed_str()).or_default() |= kind;
+        self.rules.add_rule(&text.trim_end_matches('.').to_ascii_lowercase(), kind);
     }
 
     /// Number of distinct explicit rules loaded (normal + wildcard +
     /// exception).
     pub fn len(&self) -> usize {
-        self.rules.values().map(|kinds| kinds.count_ones() as usize).sum()
+        self.rules.rule_count()
     }
 
     /// True if no explicit rules are loaded.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.len() == 0
     }
 
     /// Computes the public suffix and registrable domain of `hostname`.
@@ -176,32 +173,6 @@ impl PublicSuffixList {
         s.registrable.map(|i| name[i..].to_string())
     }
 
-    /// Resolves a hostname against a suffix-keyed index: the PSL
-    /// registrable domain first (the key the learner groups by), then
-    /// every label-boundary suffix longest-first (so a model keyed
-    /// deeper than — or, under PSL drift, differently from — the
-    /// registrable domain is still reachable, deepest suffix winning).
-    ///
-    /// `probe` looks one key up in the index; the first hit wins and is
-    /// reported as [`Dispatch::Exact`] when it was the registrable
-    /// domain, [`Dispatch::Fallback`] otherwise. `lower` must already
-    /// be lowercased (see [`lowercase`]), so every probed key is
-    /// lowercase too; each is a borrowed slice of `lower`. The serving
-    /// engine and the cluster router both dispatch through this, which
-    /// is what keeps their suffix choice identical for any hostname.
-    pub fn dispatch<T>(
-        &self,
-        lower: &str,
-        mut probe: impl FnMut(&str) -> Option<T>,
-    ) -> Dispatch<T> {
-        let name = lower.trim_end_matches('.');
-        let registrable = self.split(name).and_then(|s| s.registrable);
-        if let Some(hit) = registrable.and_then(|i| probe(&name[i..])) {
-            return Dispatch::Exact(hit);
-        }
-        label_suffixes(lower).find_map(probe).map_or(Dispatch::Miss, Dispatch::Fallback)
-    }
-
     /// `hostname` with its trailing dots dropped and lowercased, and its
     /// split: the one core behind `lookup` and `registrable_domain`.
     fn normalise_split<'h>(&self, hostname: &'h str) -> Option<(Cow<'h, str>, Split)> {
@@ -212,88 +183,48 @@ impl PublicSuffixList {
 
     /// Splits `name` — lowercase, no trailing dot — into public suffix
     /// and registrable domain, or `None` when it is empty or has an
-    /// empty label.
-    ///
-    /// The prevailing rule is the matching rule with the most labels,
-    /// except that a matching exception rule beats all others and its
-    /// suffix drops the exception's leftmost label. A wildcard rule
-    /// `*.ck` matches only when the name has a label left over for its
-    /// star, and then claims one label more than its key.
+    /// empty label. The suffix's label count comes from one walk of the
+    /// rule table ([`SuffixTable::resolve`] tracks the same rule); the
+    /// offsets are then read off the name's last dots.
     fn split(&self, name: &str) -> Option<Split> {
-        if name.is_empty() || name.starts_with('.') || name.contains("..") {
+        if has_empty_label(name) {
             return None;
         }
-        let mut longest = 1; // the implicit `*` rule
-        let mut exception = None;
-        for (labels, start) in (1..=self.depth).zip(suffix_starts(name)) {
-            let Some(&kinds) = self.rules.get(&name[start..]) else { continue };
-            if kinds & EXCEPTION != 0 {
-                exception = Some(labels);
-            }
-            if kinds & NORMAL != 0 {
-                longest = longest.max(labels);
-            }
-            if kinds & WILDCARD != 0 && start > 0 {
-                longest = longest.max(labels + 1);
-            }
+        let suffix_labels = self.rules.suffix_labels(name);
+        // No rule claims more labels than the name has (a wildcard
+        // counts only with a label to spare), so the suffix start exists.
+        let mut suffix = name.len() + 1;
+        for _ in 0..suffix_labels {
+            suffix = label_start(name, suffix - 1);
         }
-        // A pathological exception (`!com`) would leave zero labels; every
-        // name keeps at least one. No rule can claim more labels than the
-        // name has: probes stop at its whole length, and a wildcard counts
-        // only with a label to spare.
-        let suffix_labels = exception.map_or(longest, |labels| labels - 1).max(1);
-        let mut starts = suffix_starts(name).skip(suffix_labels - 1);
-        let suffix = starts.next()?;
-        Some(Split { suffix_labels, suffix, registrable: starts.next() })
+        let registrable = (suffix > 0).then(|| label_start(name, suffix - 1));
+        Some(Split { suffix_labels, suffix, registrable })
     }
 }
 
 /// `name` in ASCII lowercase, borrowed unless it holds an uppercase
 /// byte — real query traffic is lowercase already and costs no copy.
-/// This is the form [`PublicSuffixList::dispatch`] expects.
+/// This is the form [`SuffixTable::resolve`] expects.
 pub fn lowercase(name: &str) -> Cow<'_, str> {
-    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+    // Folded with no early exit, so the scan vectorises: real traffic
+    // holds no uppercase, and every byte is read anyway.
+    if name.bytes().fold(false, |upper, b| upper | b.is_ascii_uppercase()) {
         Cow::Owned(name.to_ascii_lowercase())
     } else {
         Cow::Borrowed(name)
     }
 }
 
-/// Where [`PublicSuffixList::dispatch`] found a hostname's index entry.
+/// Where [`SuffixTable::resolve`] found a hostname's index entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch<T> {
     /// The registrable domain itself is in the index.
     Exact(T),
-    /// A label-boundary suffix probe found the entry instead.
+    /// The longest indexed label suffix, the registrable domain not
+    /// being in the index.
     Fallback(T),
     /// No suffix of the hostname is in the index.
     Miss,
-}
-
-/// Byte offsets at which the label suffixes of `name` start, shortest
-/// (the last label) first: `a.b.c` → 4, 2, 0.
-fn suffix_starts(name: &str) -> impl Iterator<Item = usize> + '_ {
-    let dots = name.bytes().enumerate().rev().filter(|&(_, b)| b == b'.');
-    dots.map(|(i, _)| i + 1).chain(std::iter::once(0))
-}
-
-/// Iterates the suffixes of `hostname` at label boundaries, longest
-/// (the whole name) first: `a.b.c` → `a.b.c`, `b.c`, `c`.
-///
-/// [`PublicSuffixList::dispatch`] probes these when the PSL-derived
-/// registrable domain misses — a model may key a suffix deeper than
-/// (or, with a different PSL snapshot, different from) the registrable
-/// domain the local list computes. Trailing dots are ignored; the empty
-/// hostname yields nothing.
-fn label_suffixes(hostname: &str) -> impl Iterator<Item = &str> {
-    let name = hostname.trim_end_matches('.');
-    let whole = (!name.is_empty()).then_some(name);
-    whole.into_iter().chain(
-        name.char_indices()
-            .filter(|&(_, c)| c == '.')
-            .map(move |(i, _)| &name[i + 1..])
-            .filter(|s| !s.is_empty()),
-    )
 }
 
 #[cfg(test)]
@@ -304,60 +235,106 @@ mod tests {
         PublicSuffixList::builtin()
     }
 
-    #[test]
-    fn label_suffixes_longest_first() {
-        let got: Vec<&str> = label_suffixes("p714.sgw.equinix.com").collect();
-        assert_eq!(got, ["p714.sgw.equinix.com", "sgw.equinix.com", "equinix.com", "com"]);
-        assert_eq!(label_suffixes("com").collect::<Vec<_>>(), ["com"]);
-        assert_eq!(label_suffixes("").count(), 0);
-        // Trailing dot ignored; empty tail labels skipped.
-        assert_eq!(label_suffixes("a.b.").collect::<Vec<_>>(), ["a.b", "b"]);
-    }
-
-    /// Dispatches `lower` against an index holding `keys`, returning the
-    /// outcome (carrying the hit key) and every key probed, in order.
-    fn dispatch_over(keys: &[&str], lower: &str) -> (Dispatch<String>, Vec<String>) {
-        let mut probed = Vec::new();
-        let d = psl().dispatch(lower, |k| {
-            probed.push(k.to_string());
-            keys.contains(&k).then(|| k.to_string())
-        });
-        (d, probed)
+    /// Resolves `lower` against the builtin rules plus `keys`, each
+    /// valued by its own text.
+    fn resolve_over<'k>(keys: &[&'k str], lower: &str) -> Dispatch<&'k str> {
+        let mut table = SuffixTable::new(psl());
+        for &k in keys {
+            table.insert(k, k);
+        }
+        match table.resolve(lower) {
+            Dispatch::Exact(&k) => Dispatch::Exact(k),
+            Dispatch::Fallback(&k) => Dispatch::Fallback(k),
+            Dispatch::Miss => Dispatch::Miss,
+        }
     }
 
     #[test]
     fn dispatch_registrable_first_then_longest_suffixes() {
         let host = "p714.sgw.equinix.com";
-        // The registrable domain hits: exact, after a single probe,
-        // even when a deeper suffix is also indexed.
-        let (d, probed) = dispatch_over(&["equinix.com", "sgw.equinix.com"], host);
-        assert_eq!(d, Dispatch::Exact("equinix.com".to_string()));
-        assert_eq!(probed, ["equinix.com"]);
-        // A suffix keyed deeper than the registrable domain: fallback,
-        // found longest-first.
-        let (d, probed) = dispatch_over(&["sgw.equinix.com", "com"], host);
-        assert_eq!(d, Dispatch::Fallback("sgw.equinix.com".to_string()));
-        assert_eq!(probed, ["equinix.com", "p714.sgw.equinix.com", "sgw.equinix.com"]);
+        // The registrable domain hits: exact, even when a deeper suffix
+        // is also indexed.
+        assert_eq!(
+            resolve_over(&["equinix.com", "sgw.equinix.com", host], host),
+            Dispatch::Exact("equinix.com")
+        );
+        // A key below the registrable domain: a fallback.
+        assert_eq!(
+            resolve_over(&["sgw.equinix.com", "com"], host),
+            Dispatch::Fallback("sgw.equinix.com")
+        );
+        // Fallback takes the longest indexed label suffix first.
+        assert_eq!(
+            resolve_over(&["com", host, "sgw.equinix.com"], host),
+            Dispatch::Fallback(host)
+        );
         // The registrable domain missing from the index: a shorter
         // suffix still answers, as a fallback.
-        let (d, _) = dispatch_over(&["com"], host);
-        assert_eq!(d, Dispatch::Fallback("com".to_string()));
-        // Nothing covers the name: every key probed, then a miss.
-        let (d, probed) = dispatch_over(&["example.org"], host);
-        assert_eq!(d, Dispatch::Miss);
-        assert_eq!(
-            probed,
-            ["equinix.com", "p714.sgw.equinix.com", "sgw.equinix.com", "equinix.com", "com"]
-        );
+        assert_eq!(resolve_over(&["com"], host), Dispatch::Fallback("com"));
+        // Nothing covers the name: a miss.
+        assert_eq!(resolve_over(&["example.org", "sgw.equinix"], host), Dispatch::Miss);
         // A public suffix alone has no registrable domain, so a hit on
         // it can only be a fallback.
-        let (d, probed) = dispatch_over(&["com"], "com");
-        assert_eq!(d, Dispatch::Fallback("com".to_string()));
-        assert_eq!(probed, ["com"]);
-        // The empty name probes nothing.
-        let (d, probed) = dispatch_over(&["", "com"], "");
-        assert_eq!(d, Dispatch::Miss);
-        assert!(probed.is_empty(), "{probed:?}");
+        assert_eq!(resolve_over(&["com"], "com"), Dispatch::Fallback("com"));
+        assert_eq!(resolve_over(&["org.nz"], "org.nz"), Dispatch::Fallback("org.nz"));
+        // The empty name, and a name of dots, resolve to nothing.
+        assert_eq!(resolve_over(&["", "com"], ""), Dispatch::Miss);
+        assert_eq!(resolve_over(&["", "com"], ".."), Dispatch::Miss);
+        // Every trailing dot is ignored.
+        assert_eq!(resolve_over(&["a.b"], "a.b."), Dispatch::Exact("a.b"));
+        assert_eq!(resolve_over(&["b"], "a.b.."), Dispatch::Fallback("b"));
+        // A name with an empty label has no registrable domain; its
+        // label suffixes, empty labels included, still fall back.
+        let empty = "x.a..equinix.com";
+        assert_eq!(resolve_over(&["equinix.com"], empty), Dispatch::Fallback("equinix.com"));
+        assert_eq!(
+            resolve_over(&["equinix.com", ".equinix.com"], empty),
+            Dispatch::Fallback(".equinix.com")
+        );
+        assert_eq!(resolve_over(&["a..equinix.com"], empty), Dispatch::Fallback("a..equinix.com"));
+        assert_eq!(resolve_over(&["equinix.com"], ".equinix.com"), Dispatch::Fallback("equinix.com"));
+        // Keys are stored verbatim: one a lowercase name never spells
+        // is never reached.
+        for key in ["Equinix.com", "equinix.com.", "com."] {
+            assert_eq!(resolve_over(&[key], host), Dispatch::Miss, "{key}");
+        }
+    }
+
+    #[test]
+    fn get_finds_exactly_the_inserted_keys() {
+        let mut table = SuffixTable::new(psl());
+        let keys = ["equinix.com", "a.b.c.d", "", "Upper.Case", "dot.", ".lead"];
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(table.insert(k, i), None, "{k}");
+        }
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(table.get(k), Some(&i), "{k}");
+        }
+        // Ancestors of keys and rule-only nodes hold no value.
+        for k in ["com", "b.c.d", "d", "org.nz", "upper.case", "dot", "lead", "x.equinix.com"] {
+            assert_eq!(table.get(k), None, "{k}");
+        }
+        // A second insert replaces the value and reports the old one.
+        assert_eq!(table.insert("equinix.com", 9), Some(0));
+        assert_eq!(table.get("equinix.com"), Some(&9));
+        assert_eq!(table.resolve("p714.sgw.equinix.com"), Dispatch::Exact(&9));
+    }
+
+    #[test]
+    fn resolve_follows_the_prevailing_rule() {
+        // The registrable domain is the suffix of the longest rule plus
+        // one label: under `*.ck` it is three labels, under the
+        // exception `!www.ck` two.
+        let psl = PublicSuffixList::parse("*.ck\n!www.ck\ncity.kobe.jp\n");
+        let mut table = SuffixTable::new(psl);
+        for k in ["foo.anything.ck", "anything.ck", "www.ck", "x.city.kobe.jp", "kobe.jp"] {
+            table.insert(k, k);
+        }
+        assert_eq!(table.resolve("r1.foo.anything.ck"), Dispatch::Exact(&"foo.anything.ck"));
+        assert_eq!(table.resolve("anything.ck"), Dispatch::Fallback(&"anything.ck"));
+        assert_eq!(table.resolve("r1.www.ck"), Dispatch::Exact(&"www.ck"));
+        assert_eq!(table.resolve("a.x.city.kobe.jp"), Dispatch::Exact(&"x.city.kobe.jp"));
+        assert_eq!(table.resolve("a.y.city.kobe.jp"), Dispatch::Fallback(&"kobe.jp"));
     }
 
     #[test]

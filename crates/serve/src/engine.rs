@@ -1,31 +1,31 @@
 //! The extraction engine: a read-optimized in-memory index over a
 //! loaded [`Model`](crate::model::Model).
 //!
-//! Dispatch is keyed by suffix: a query hostname is mapped to its
-//! PSL-derived registrable domain (reusing `hoiho-psl`, the same
-//! grouping the learner used), and that suffix's naming convention runs
-//! its compiled regexes in rank order — identical semantics to
+//! Dispatch is keyed by suffix. At load the engine builds one
+//! [`SuffixTable`] holding the built-in PSL's rules and every
+//! convention's suffix (valued by the convention's index), and a query
+//! hostname resolves through it in one right-to-left walk of its labels
+//! ([`SuffixTable::resolve`]): the convention keyed by its PSL
+//! registrable domain (the grouping the learner used), or when that is
+//! not in the index (a model keyed under a deeper suffix, or a PSL
+//! snapshot drift between trainer and server), the convention of its
+//! longest indexed label suffix. That convention runs its compiled
+//! regexes in rank order — identical semantics to
 //! [`NamingConvention::extract`], minus the per-call allocation churn.
-//! When the registrable domain is not in the index (a model keyed under
-//! a deeper suffix, or a PSL snapshot drift between trainer and
-//! server), dispatch falls back to probing every label-boundary suffix
-//! of the hostname, longest first. The rule is written once, as
-//! [`PublicSuffixList::dispatch`], which the cluster router shares.
 //!
 //! The server (a `BATCH` request is a sequential loop over
 //! [`Engine::extract`]) and the §5 integration in the experiments
 //! answer through this engine, one hostname at a time. The cluster
-//! router dispatches once over the union of its shards' suffixes and
-//! runs the dispatched shard engine's compiled convention
-//! ([`CompiledNc::extract_lower`]) directly. `hoiho apply` runs the
-//! learner's conventions directly, under the same dispatch rule.
+//! router resolves once through one table over the union of its
+//! shards' suffixes and runs the dispatched shard engine's compiled
+//! convention ([`CompiledNc::extract_lower`]) directly. `hoiho apply`
+//! runs the learner's conventions directly, resolved the same way.
 
 use crate::model::Model;
 use hoiho::classify::NcClass;
 use hoiho::regex::{CompiledRegex, MultiMatcher, Regex};
 use hoiho_obs::{Counter, Registry};
-use hoiho_psl::{lowercase, Dispatch, PublicSuffixList};
-use std::collections::HashMap;
+use hoiho_psl::{lowercase, Dispatch, PublicSuffixList, SuffixTable};
 use std::sync::Arc;
 
 /// One compiled convention, ready to serve lookups. The regex ASTs are
@@ -106,9 +106,8 @@ impl Extraction {
 /// Pre-registered dispatch-outcome counters for an engine
 /// (`hoiho_engine_extractions_total{dispatch=...}`), one per
 /// [`Dispatch`] outcome: `exact` when the PSL registrable domain hit
-/// the index directly, `fallback` when a label-boundary suffix probe
-/// found the convention instead, `miss` when no suffix covered the
-/// hostname. Cloning shares the underlying counters.
+/// the index directly, `fallback` when the longest indexed label suffix
+/// answered instead, `miss` when no suffix covered the hostname. Cloning shares the underlying counters.
 #[derive(Debug, Clone)]
 pub struct EngineObs {
     exact: Counter,
@@ -138,9 +137,10 @@ impl EngineObs {
 /// lookup; an attached one adds a single relaxed atomic increment.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    psl: PublicSuffixList,
     ncs: Vec<CompiledNc>,
-    by_suffix: HashMap<Arc<str>, usize>,
+    /// The built-in PSL's rules plus each convention's suffix, valued by
+    /// its index in `ncs`.
+    table: SuffixTable<usize>,
     obs: Option<EngineObs>,
 }
 
@@ -152,9 +152,11 @@ impl Engine {
             .iter()
             .map(|e| CompiledNc::new(&e.suffix, e.class, e.single, e.regexes.clone()))
             .collect();
-        let by_suffix =
-            ncs.iter().enumerate().map(|(i, nc)| (Arc::clone(&nc.suffix), i)).collect();
-        Engine { psl: PublicSuffixList::builtin(), ncs, by_suffix, obs: None }
+        let mut table = SuffixTable::new(PublicSuffixList::builtin());
+        for (i, nc) in ncs.iter().enumerate() {
+            table.insert(&nc.suffix, i);
+        }
+        Engine { ncs, table, obs: None }
     }
 
     /// Attaches dispatch-outcome counters; every subsequent lookup
@@ -181,11 +183,11 @@ impl Engine {
 
     /// Finds the convention index responsible for `lower` (an
     /// already-lowercased hostname), if any, by the one dispatch rule
-    /// ([`PublicSuffixList::dispatch`], shared with the cluster router
-    /// so both layers pick the same suffix), counting the outcome when
-    /// counters are attached.
+    /// ([`SuffixTable::resolve`], which the cluster router resolves by
+    /// too, so both layers pick the same suffix), counting the outcome
+    /// when counters are attached.
     fn dispatch(&self, lower: &str) -> Option<usize> {
-        let d = self.psl.dispatch(lower, |k| self.by_suffix.get(k).copied());
+        let d = self.table.resolve(lower);
         if let Some(obs) = &self.obs {
             match d {
                 Dispatch::Exact(_) => &obs.exact,
@@ -195,7 +197,7 @@ impl Engine {
             .inc();
         }
         match d {
-            Dispatch::Exact(i) | Dispatch::Fallback(i) => Some(i),
+            Dispatch::Exact(&i) | Dispatch::Fallback(&i) => Some(i),
             Dispatch::Miss => None,
         }
     }

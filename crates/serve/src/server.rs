@@ -800,7 +800,6 @@ impl Conn {
                 shared.count_error();
                 return false;
             }
-            self.last_request = Instant::now();
             let Ok(text) = std::str::from_utf8(line) else {
                 // Non-UTF-8 input: count it and drop the connection (we
                 // cannot resynchronise a stream we cannot decode).
@@ -818,6 +817,11 @@ impl Conn {
         if buf.len() - start > MAX_LINE {
             shared.count_error();
             return false;
+        }
+        if start > 0 {
+            // One clock read per drain that framed a line, not one per
+            // line: the idle check it feeds counts in seconds.
+            self.last_request = Instant::now();
         }
         buf.drain(..start);
         self.buf = buf;

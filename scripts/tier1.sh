@@ -13,7 +13,12 @@
 #      direct algorithm (kept in the test as the reference) on learner
 #      pools either side of the candidate screen's threshold, so both
 #      every-pair evaluation and Aho–Corasick literal dispatch run,
-#      then the two learner work-count gates by name: one
+#      then the PSL equivalence gate by name: the suffix table's
+#      lookups and dispatch must answer exactly as the linear-scan
+#      reference algorithm for every host of 1–4 labels over a small
+#      alphabet (with case, dot and empty-label variants) under three
+#      rule sets and two key indexes, then the two learner work-count
+#      gates by name: one
 #      `learn_suffix` call on fixed data stays within its committed
 #      allocation budget and its committed number of compiled-program
 #      runs, then a compile of the devkit benches (`hoiho-bench`), so
@@ -84,6 +89,15 @@ cargo test -q --offline -p hoiho --test compiled_equiv \
     | grep -q "1 passed" \
     || { echo "tier1: set-builder equivalence gate did not run/pass" >&2; exit 1; }
 echo "tier1: set-builder reference equivalence gate OK"
+
+# --- PSL equivalence gate: the suffix table's lookups and dispatch
+# against the linear-scan reference over the exhaustive small domain,
+# by name, like the gate above ---
+cargo test -q --offline -p hoiho-fuzz --lib \
+    targets::psl::tests::exhaustive_small_domain_matches_reference -- --exact \
+    | grep -q "1 passed" \
+    || { echo "tier1: PSL reference equivalence gate did not run/pass" >&2; exit 1; }
+echo "tier1: PSL reference equivalence gate OK"
 
 # --- learner work-count gates: the allocations and the compiled-program
 # runs of one learn_suffix call on the Figure 4 data and a 400-host

@@ -1,9 +1,9 @@
 //! Allocation gates, read from a per-thread counting global allocator:
 //!
-//! * the serving lookup path: every layer a query crosses — PSL
-//!   dispatch, the engine, answer building, a router cache hit and the
-//!   router's routed compute on a cache miss — allocates nothing per
-//!   call;
+//! * the serving lookup path: every layer a query crosses — suffix
+//!   dispatch (one walk of the PSL and model-suffix table), the
+//!   engine, answer building, a router cache hit and the router's
+//!   routed compute on a cache miss — allocates nothing per call;
 //! * the learner: one `learn_suffix` call on the Figure 4 data and on a
 //!   400-hostname synthetic suffix stays within a fixed allocation
 //!   budget and a fixed number of compiled-program runs, the
@@ -19,7 +19,7 @@ use hoiho::taxonomy::Taxonomy;
 use hoiho::training::{Observation, SuffixTraining};
 use hoiho_cluster::ShardRouter;
 use hoiho_obs::{Registry, Tracer};
-use hoiho_psl::PublicSuffixList;
+use hoiho_psl::{Dispatch, PublicSuffixList, SuffixTable};
 use hoiho_serve::engine::EngineObs;
 use hoiho_serve::model::{EvalCounts, Model, ModelEntry};
 use hoiho_serve::{Engine, Generation};
@@ -134,13 +134,17 @@ fn engine_extract_allocates_nothing() {
 
 #[test]
 fn psl_dispatch_allocates_nothing() {
-    let psl = PublicSuffixList::builtin();
-    let keys = ["equinix.com", "net.example.com"];
+    let mut table = SuffixTable::new(PublicSuffixList::builtin());
+    for (i, key) in ["equinix.com", "net.example.com"].into_iter().enumerate() {
+        table.insert(key, i);
+    }
+    assert_eq!(table.resolve("p714.sgw.equinix.com"), Dispatch::Exact(&0));
+    assert_eq!(table.resolve("as100.net.example.com"), Dispatch::Fallback(&1));
     for &(shape, h) in HOSTS {
         let n = allocs_in_64_calls(|| {
-            black_box(psl.dispatch(black_box(h), |k| keys.iter().position(|&key| key == k)));
+            black_box(table.resolve(black_box(h)));
         });
-        assert_eq!(n, 0, "PublicSuffixList::dispatch on the {shape} name {h:?}");
+        assert_eq!(n, 0, "SuffixTable::resolve on the {shape} name {h:?}");
     }
 }
 
