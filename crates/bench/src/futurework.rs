@@ -5,7 +5,7 @@
 //!   records of *all* delegated address space multiplied matching
 //!   hostnames 5.4K → 22.5K, revealing interconnections measurement
 //!   never saw. The simulator's full interface table plays the role of
-//!   the OpenINTEL PTR corpus.
+//!   the OpenINTEL PTR corpus, and the serving engine answers it.
 //! * [`asname_census`] — the paper's preliminary observation that more
 //!   suffixes embed AS *names* than AS numbers. With the organization
 //!   dictionary (the as2org names), count the suffixes of each kind and
@@ -20,6 +20,7 @@ use crate::pipeline::SnapshotStats;
 use hoiho::learner::{learn_all, LearnConfig};
 use hoiho_asdb::Asn;
 use hoiho_netsim::internet::IfaceKind;
+use hoiho_serve::{Engine, Model};
 use std::collections::BTreeSet;
 
 /// Result of the OpenINTEL-style sweep.
@@ -37,24 +38,25 @@ pub struct SweepResult {
     pub new_total: usize,
 }
 
-/// Applies the snapshot's learned conventions to every named interface.
+/// Answers every named interface once, through one serving [`Engine`]
+/// over the snapshot's usable conventions, as §5 does: a name counts
+/// when the convention its suffix dispatches to extracts an ASN.
 pub fn ptr_sweep(stats: &SnapshotStats) -> SweepResult {
     let snap = &stats.snapshot;
+    let mut model = Model::from_learned(&stats.learned);
+    model.entries.retain(|e| e.class.usable());
+    let engine = Engine::new(&model);
     let mut out = SweepResult::default();
-    let observed: BTreeSet<u32> = snap.graph.by_addr.keys().copied().collect();
-    for lc in stats.usable() {
-        for (iface, owner) in snap.internet.named_interfaces() {
-            let hostname = iface.hostname.as_deref().expect("named");
-            let Some(extracted) = lc.convention.extract(hostname) else { continue };
-            let seen = observed.contains(&iface.addr);
-            out.matched_full += 1;
-            if seen {
-                out.matched_observed += 1;
-            } else {
-                out.new_total += 1;
-                if extracted == owner || snap.input.org.siblings(extracted, owner) {
-                    out.new_correct += 1;
-                }
+    for (iface, owner) in snap.internet.named_interfaces() {
+        let hostname = iface.hostname.as_deref().expect("named");
+        let Some(extracted) = engine.extract(hostname).asn else { continue };
+        out.matched_full += 1;
+        if snap.graph.by_addr.contains_key(&iface.addr) {
+            out.matched_observed += 1;
+        } else {
+            out.new_total += 1;
+            if extracted == owner || snap.input.org.siblings(extracted, owner) {
+                out.new_correct += 1;
             }
         }
     }

@@ -35,9 +35,9 @@
 //! a whole *pool* of compiled programs is evaluated against shared
 //! hostnames, a [`MultiMatcher`] (an Aho–Corasick automaton over every
 //! program's required literals) scans each hostname once and dispatches
-//! only to the programs that could possibly match it; the learner's
-//! candidate screen decides per pool whether the automaton pays for
-//! itself.
+//! only to the programs that could possibly match it. The learner's
+//! candidate screen is its one user and decides per pool whether the
+//! automaton pays for itself.
 
 mod ast;
 mod compiled;

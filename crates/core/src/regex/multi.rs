@@ -23,6 +23,12 @@
 //! out cannot match, so a caller that evaluates only the candidates gets
 //! exactly the answers of evaluating every pair.
 //!
+//! The screen is the automaton's only production user. The serving
+//! engine answers one name at a time against one learned convention of
+//! at most six regexes, where a scan costs more than running those
+//! programs in rank order, each behind its own literal and start-set
+//! rejects.
+//!
 //! ## Dispatch rule
 //!
 //! Every [`Lit`](super::Elem::Lit) element of the dialect is consumed in
@@ -156,9 +162,7 @@ pub(crate) fn screen<'h>(
 /// An Aho–Corasick automaton over the required literals of a regex
 /// pool, answering "which pool members could match this hostname?" in
 /// one scan. Build once per pool (see [`MultiMatcher::build`]), then
-/// dispatch with a reusable [`DispatchScratch`] or, for pools of at
-/// most 64 programs and requirement slots, the allocation-free
-/// [`MultiMatcher::dispatch_mask`].
+/// dispatch with a reusable [`DispatchScratch`].
 ///
 /// Requirements are tracked as a flat bitset of **slots**: literal
 /// `lid` owns slots `slot_base[lid] .. slot_base[lid] + max_mult[lid]`,
@@ -193,9 +197,6 @@ pub struct MultiMatcher {
     regex_masks: Vec<u64>,
     /// Number of programs the automaton dispatches over.
     regexes: usize,
-    /// Whether [`MultiMatcher::dispatch_mask`] is available: at most 64
-    /// programs and at most 64 requirement slots.
-    mask64: bool,
 }
 
 /// Reusable per-thread dispatch state: epoch-stamped "seen this host"
@@ -353,7 +354,6 @@ impl MultiMatcher {
                 }
             }
         }
-        let mask64 = per_regex.len() <= 64 && slots <= 64;
 
         MultiMatcher {
             byte_class,
@@ -367,7 +367,6 @@ impl MultiMatcher {
             mask_words,
             regex_masks,
             regexes: per_regex.len(),
-            mask64,
         }
     }
 
@@ -448,61 +447,6 @@ impl MultiMatcher {
             }
         }
         &scratch.dispatched
-    }
-
-    /// True when [`dispatch_mask`](MultiMatcher::dispatch_mask) is
-    /// available: at most 64 programs and 64 requirement slots
-    /// (literal × multiplicity-level pairs).
-    pub fn supports_mask(&self) -> bool {
-        self.mask64
-    }
-
-    /// Allocation-free dispatch for small pools: bit `i` is set exactly
-    /// when program `i` would be dispatched — ascending bit order is
-    /// pool order, so `trailing_zeros` iteration preserves rank.
-    ///
-    /// # Panics
-    ///
-    /// When `!self.supports_mask()`.
-    pub fn dispatch_mask(&self, host: &[u8]) -> u64 {
-        assert!(self.mask64, "dispatch_mask requires supports_mask()");
-        // `supports_mask` bounds the slot total by 64, and every literal
-        // owns at least one slot, so fixed-size occurrence state fits on
-        // the stack (and the requirement bitsets are single words).
-        let mut counts = [0u32; 64];
-        let mut ends = [0u32; 64];
-        let mut seen = 0u64;
-        let alpha = self.alphabet as usize;
-        let mut state = 0usize;
-        for (i, &b) in host.iter().enumerate() {
-            state = self.trans[state * alpha + self.byte_class[b as usize] as usize] as usize;
-            let (s, e) = (self.out_start[state] as usize, self.out_start[state + 1] as usize);
-            for &lit in &self.out_lits[s..e] {
-                let lit = lit as usize;
-                let end = (i + 1) as u32;
-                if end - self.lit_len[lit] < ends[lit] {
-                    continue; // overlaps the last accepted occurrence
-                }
-                ends[lit] = end;
-                let n = counts[lit] + 1;
-                counts[lit] = n;
-                if n <= self.max_mult[lit] {
-                    seen |= 1u64 << (self.slot_base[lit] + n - 1);
-                }
-            }
-        }
-        // A fallback program's mask is 0 and `seen & 0 == 0` always
-        // holds, so the bucket needs no special case here. With at most
-        // 64 slots every requirement bitset is one word (or absent
-        // entirely when the pool has no literals at all).
-        let mut dispatched = 0u64;
-        for r in 0..self.regexes {
-            let m = if self.mask_words == 1 { self.regex_masks[r] } else { 0 };
-            if seen & m == m {
-                dispatched |= 1u64 << r;
-            }
-        }
-        dispatched
     }
 }
 
@@ -587,7 +531,7 @@ mod tests {
     }
 
     /// Brute-force oracle: dispatch must include every program that
-    /// matches, and both dispatch paths must agree.
+    /// matches, each at most once.
     fn assert_superset_exact(patterns: &[&str], hosts: &[&str]) {
         let progs = programs(patterns);
         let mm = MultiMatcher::build(progs.iter());
@@ -606,12 +550,6 @@ mod tests {
                         "false negative: {:?} matches {host:?} but was not dispatched",
                         patterns[i]
                     );
-                }
-            }
-            if mm.supports_mask() {
-                let mask = mm.dispatch_mask(host.as_bytes());
-                for (i, &f) in flags.iter().enumerate() {
-                    assert_eq!(mask >> i & 1 == 1, f, "mask/scratch diverge on {host:?} bit {i}");
                 }
             }
         }
@@ -644,7 +582,6 @@ mod tests {
         assert!(mm.is_empty());
         let mut scratch = mm.scratch();
         assert!(mm.dispatch(b"any.host.example.com", &mut scratch).is_empty());
-        assert_eq!(mm.dispatch_mask(b"any.host.example.com"), 0);
     }
 
     #[test]
@@ -656,7 +593,6 @@ mod tests {
             let mut d = mm.dispatch(host.as_bytes(), &mut scratch).to_vec();
             d.sort_unstable();
             assert_eq!(d, vec![0, 1, 2], "on {host:?}");
-            assert_eq!(mm.dispatch_mask(host.as_bytes()), 0b111);
         }
     }
 
@@ -714,11 +650,9 @@ mod tests {
         let mut one = mm.dispatch(b"as1-ae1.example.net", &mut scratch).to_vec();
         one.sort_unstable();
         assert_eq!(one, vec![1]);
-        assert_eq!(mm.dispatch_mask(b"as1-ae1.example.net"), 0b10);
         let mut three = mm.dispatch(b"as1-xe-0-0.example.net", &mut scratch).to_vec();
         three.sort_unstable();
         assert_eq!(three, vec![0, 1]);
-        assert_eq!(mm.dispatch_mask(b"as1-xe-0-0.example.net"), 0b11);
     }
 
     #[test]
@@ -729,9 +663,7 @@ mod tests {
         let mm = MultiMatcher::build(progs.iter());
         let mut scratch = mm.scratch();
         assert!(mm.dispatch(b"aaa", &mut scratch).is_empty());
-        assert_eq!(mm.dispatch_mask(b"aaa"), 0);
         assert_eq!(mm.dispatch(b"aaaa", &mut scratch), &[0]);
-        assert_eq!(mm.dispatch_mask(b"aaaa"), 0b1);
         assert_eq!(mm.dispatch(b"aa1aa", &mut scratch), &[0]);
         // Superset-exactness on digit-separated repeats.
         assert_superset_exact(&[r"aa(\d+)aa"], &["aaa", "aaaa", "aa1aa", "aa12aa34aa", ""]);

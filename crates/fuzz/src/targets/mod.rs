@@ -4,7 +4,7 @@
 //! | target   | surface                       | oracle                                            |
 //! |----------|-------------------------------|---------------------------------------------------|
 //! | regex    | `Regex::parse` + compile      | compiled vs interpreted `find`/`find_trace`, display→parse fixpoint |
-//! | multimatch | `MultiMatcher` pool dispatch | automaton dispatch vs per-regex compiled scans (superset-exact, mask/scratch agreement) |
+//! | multimatch | `MultiMatcher` pool dispatch | automaton dispatch vs per-regex compiled scans (superset-exact, no repeated or invented index) |
 //! | artifact | `Model::parse`                | render fixpoint + sharded(N) vs single engine answers |
 //! | shardmap | `ShardMap::parse`             | render fixpoint + value equality                  |
 //! | psl      | `PublicSuffixList` lookups + `SuffixTable::resolve` | label-table answers vs the linear-scan reference algorithm |

@@ -10,8 +10,10 @@
 //! not in the index (a model keyed under a deeper suffix, or a PSL
 //! snapshot drift between trainer and server), the convention of its
 //! longest indexed label suffix. That convention runs its compiled
-//! regexes in rank order — identical semantics to
-//! [`NamingConvention::extract`], minus the per-call allocation churn.
+//! regexes in rank order, first match wins, with no pool-level
+//! prefilter ([`CompiledNc`] says why) — identical semantics to
+//! [`NamingConvention::extract`](hoiho::NamingConvention::extract),
+//! minus the per-call allocation churn.
 //!
 //! The server (a `BATCH` request is a sequential loop over
 //! [`Engine::extract`]) and the §5 integration in the experiments
@@ -23,7 +25,7 @@
 
 use crate::model::Model;
 use hoiho::classify::NcClass;
-use hoiho::regex::{CompiledRegex, MultiMatcher, Regex};
+use hoiho::regex::{CompiledRegex, Regex};
 use hoiho_obs::{Counter, Registry};
 use hoiho_psl::{lowercase, Dispatch, PublicSuffixList, SuffixTable};
 use std::sync::Arc;
@@ -31,6 +33,16 @@ use std::sync::Arc;
 /// One compiled convention, ready to serve lookups. The regex ASTs are
 /// kept for introspection; queries run the matcher programs, lowered
 /// once at engine construction (model load).
+///
+/// A lookup runs the programs in rank order with no pool-level
+/// prefilter ahead of them. A learned set holds at most six regexes,
+/// and each program already rejects most names through its own
+/// literal, `lit$` and start-set checks, so an Aho–Corasick scan of the
+/// convention's required literals costs more than the runs it skips:
+/// on perfbench `annotate_batch` (2-vCPU host) dropping that scan took
+/// `regex.extract_ns` from 319 to 108 ns per name (seed 7) and
+/// `cpu_ns_per_op` from 478 to 374 (medians of 10 pairs, seeds
+/// 101–110).
 #[derive(Debug, Clone)]
 pub struct CompiledNc {
     /// The suffix the convention is keyed under, shared with every
@@ -44,19 +56,12 @@ pub struct CompiledNc {
     pub regexes: Vec<Regex>,
     /// The compiled form of `regexes`, same order.
     programs: Vec<CompiledRegex>,
-    /// Literal dispatch over `programs`, when the pool is small enough
-    /// for the bitmask fast path (`MultiMatcher::supports_mask`) —
-    /// always true for real models, whose conventions carry a handful
-    /// of regexes. One automaton scan of the hostname rules out the
-    /// programs whose required literal never occurs.
-    matcher: Option<MultiMatcher>,
 }
 
 impl CompiledNc {
     fn new(suffix: &str, class: NcClass, single: bool, regexes: Vec<Regex>) -> CompiledNc {
         let programs: Vec<CompiledRegex> = regexes.iter().map(CompiledRegex::compile).collect();
-        let matcher = Some(MultiMatcher::build(programs.iter())).filter(MultiMatcher::supports_mask);
-        CompiledNc { suffix: suffix.into(), class, single, regexes, programs, matcher }
+        CompiledNc { suffix: suffix.into(), class, single, regexes, programs }
     }
 
     /// Runs the convention on an already-lowercased hostname —
@@ -65,20 +70,6 @@ impl CompiledNc {
     /// overflow the 32-bit ASN space yield `None` without trying later
     /// regexes.
     pub fn extract_lower(&self, lower: &str) -> Option<u32> {
-        if let Some(m) = &self.matcher {
-            // Ascending bit order is pool order is rank order, so the
-            // masked walk preserves first-match-wins exactly; skipped
-            // programs are missing a required literal and cannot match.
-            let mut mask = m.dispatch_mask(lower.as_bytes());
-            while mask != 0 {
-                let ri = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if let Some(digits) = self.programs[ri].extract(lower) {
-                    return digits.parse::<u32>().ok();
-                }
-            }
-            return None;
-        }
         for p in &self.programs {
             if let Some(digits) = p.extract(lower) {
                 return digits.parse::<u32>().ok();
@@ -318,23 +309,23 @@ mod tests {
         );
     }
 
-    /// A pool past the 64-regex bitmask limit drops to the plain
-    /// rank-order loop and answers identically to a masked engine
-    /// holding the same effective convention.
+    /// Rank order over a long pool: 70 decoys ranked ahead of the real
+    /// regexes match none of the real names, so each is tried and fails
+    /// before a real one answers; a decoy still answers its own shape,
+    /// and a covered name no regex matches dispatches with no ASN.
     #[test]
-    fn oversized_pool_falls_back_to_rank_order_loop() {
-        let real = [r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$", r"^(\d+)-.+\.equinix\.com$"];
-        // 70 never-matching decoys ahead of the real regexes keep rank
-        // order observable: the decoys must all be tried (and fail)
-        // before the real ones win.
+    fn decoys_ranked_ahead_run_before_the_real_regexes() {
         let mut pool: Vec<String> =
             (0..70).map(|i| format!(r"^decoy{i}x(\d+)\.equinix\.com$")).collect();
-        pool.extend(real.iter().map(|s| s.to_string()));
+        pool.push(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$".to_string());
+        pool.push(r"^(\d+)-.+\.equinix\.com$".to_string());
         let refs: Vec<&str> = pool.iter().map(String::as_str).collect();
-        let big = Engine::new(&Model { entries: vec![entry("equinix.com", &refs)] });
-        let small = Engine::new(&Model { entries: vec![entry("equinix.com", &real)] });
-        for h in ["p714.sgw.equinix.com", "24482-fr5-ix.equinix.com", "www.equinix.com"] {
-            assert_eq!(big.extract(h).asn, small.extract(h).asn, "{h}");
-        }
+        let e = Engine::new(&Model { entries: vec![entry("equinix.com", &refs)] });
+        assert_eq!(e.conventions()[0].regexes.len(), 72);
+        assert_eq!(e.extract("p714.sgw.equinix.com").asn, Some(714));
+        assert_eq!(e.extract("24482-fr5-ix.equinix.com").asn, Some(24482));
+        assert_eq!(e.extract("decoy3x15.equinix.com").asn, Some(15));
+        let x = e.extract("www.equinix.com");
+        assert_eq!((x.nc, x.asn), (Some(0), None));
     }
 }

@@ -17,9 +17,12 @@
 #      lookups and dispatch must answer exactly as the linear-scan
 #      reference algorithm for every host of 1–4 labels over a small
 #      alphabet (with case, dot and empty-label variants) under three
-#      rule sets and two key indexes, then the two learner work-count
-#      gates by name: one
-#      `learn_suffix` call on fixed data stays within its committed
+#      rule sets and two key indexes, then the every-route serving
+#      gate by name: the engine and 1- and 3-shard routers (cached and
+#      uncached) must answer every named interface of a default-scale
+#      world, in its own and seven hostile spellings, as the learner's
+#      convention does, then the two learner work-count gates by name:
+#      one `learn_suffix` call on fixed data stays within its committed
 #      allocation budget and its committed number of compiled-program
 #      runs, then a compile of the devkit benches (`hoiho-bench`), so
 #      they keep building though they run outside the gate.
@@ -98,6 +101,15 @@ cargo test -q --offline -p hoiho-fuzz --lib \
     | grep -q "1 passed" \
     || { echo "tier1: PSL reference equivalence gate did not run/pass" >&2; exit 1; }
 echo "tier1: PSL reference equivalence gate OK"
+
+# --- every-route serving gate: engine, 1- and 3-shard routers, cached
+# and uncached, against the learner's conventions over every named
+# interface and its hostile spellings, by name, like the gates above ---
+cargo test -q --offline --test serve_pipeline \
+    every_route_answers_every_named_interface_as_the_learner -- --exact \
+    | grep -q "1 passed" \
+    || { echo "tier1: every-route serving gate did not run/pass" >&2; exit 1; }
+echo "tier1: every-route serving gate OK"
 
 # --- learner work-count gates: the allocations and the compiled-program
 # runs of one learn_suffix call on the Figure 4 data and a 400-host

@@ -241,3 +241,90 @@ fn batch_matches_single_queries_on_engine_and_cluster_backends() {
         srv.shutdown();
     }
 }
+
+/// `name` in the seven hostile spellings the serving routes must agree
+/// on: uppercase, a trailing dot, a leading dot, an empty label, every
+/// digit run overflowing the 32-bit ASN space, a non-ASCII label, and
+/// 60 extra labels.
+fn hostile_spellings(name: &str) -> [String; 7] {
+    let mut overflow = String::with_capacity(name.len() + 16);
+    let mut in_digits = false;
+    for c in name.chars() {
+        let digit = c.is_ascii_digit();
+        if digit && !in_digits {
+            overflow.push_str("99999999999");
+        } else if !digit {
+            overflow.push(c);
+        }
+        in_digits = digit;
+    }
+    [
+        name.to_ascii_uppercase(),
+        format!("{name}."),
+        format!(".{name}"),
+        name.replacen('.', "..", 1),
+        overflow,
+        format!("ñ.{name}"),
+        format!("{}{name}", "x.".repeat(60)),
+    ]
+}
+
+/// Every serving route answers every named interface of a default-scale
+/// world, in its own and seven hostile spellings, with the learner's
+/// `NamingConvention::extract` for the convention the engine dispatched
+/// to, and no ASN on a miss: `Engine::extract`, and 1- and 3-shard
+/// routers through `lookup` twice (the second read is the cache's) and
+/// `lookup_uncached`.
+#[test]
+fn every_route_answers_every_named_interface_as_the_learner() {
+    let snap = BuiltSnapshot::build(&SnapshotSpec {
+        label: "routes-991".into(),
+        method: Method::BdrmapIt,
+        cfg: SimConfig { seed: 991, ..SimConfig::default() },
+        alias_split: 0.3,
+    });
+    let groups = snap.training_set().by_suffix(&PublicSuffixList::builtin());
+    let learned = learn_all(&groups, &LearnConfig::default());
+    let model = Model::from_learned(&learned);
+    let engine = Engine::new(&model);
+    let by_suffix: BTreeMap<&str, &LearnedConvention> =
+        learned.iter().map(|l| (l.convention.suffix.as_str(), l)).collect();
+    let routers: Vec<ShardRouter> = [1u32, 3]
+        .iter()
+        .map(|&n| ShardRouter::from_model(&model, n, 1024).expect("router"))
+        .collect();
+
+    let (mut names, mut dispatched, mut extracted) = (0u64, 0usize, 0usize);
+    for (iface, _) in snap.internet.named_interfaces() {
+        let name = iface.hostname.as_deref().expect("named");
+        names += 1;
+        let spellings = hostile_spellings(name);
+        for host in std::iter::once(name).chain(spellings.iter().map(String::as_str)) {
+            let x = engine.extract(host);
+            let suffix = x.nc.map(|i| Arc::clone(&engine.conventions()[i].suffix));
+            let want = suffix.as_deref().and_then(|s| by_suffix[s].convention.extract(host));
+            assert_eq!(x.asn, want, "engine on {host:?} (suffix {suffix:?})");
+            dispatched += usize::from(suffix.is_some());
+            extracted += usize::from(want.is_some());
+            for router in &routers {
+                let answers =
+                    [router.lookup(host), router.lookup(host), router.lookup_uncached(host)];
+                let routes = ["lookup", "cached lookup", "lookup_uncached"];
+                for (route, a) in routes.iter().zip(answers) {
+                    assert_eq!(
+                        (a.asn, &a.suffix),
+                        (want, &suffix),
+                        "{}-shard router {route} on {host:?}",
+                        router.shards()
+                    );
+                }
+            }
+        }
+    }
+    // Every second lookup of a (name, spelling) pair reads the cache.
+    for router in &routers {
+        assert!(router.cache_stats().hits >= names * 8, "{:?}", router.cache_stats());
+    }
+    assert!(names > 2000, "only {names} named interfaces");
+    assert!(dispatched > 0 && extracted > 0, "dispatched {dispatched}, extracted {extracted}");
+}
