@@ -33,11 +33,6 @@ impl Prefix {
         self.len
     }
 
-    /// True only for the zero-length default route.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The netmask for a given length.
     pub fn mask(len: u8) -> Addr {
         if len == 0 {

@@ -292,9 +292,10 @@ fn scenario_run(files: &[String], out: &str) -> Result<(), String> {
         let (model, snap) = scenario_model(&sc)?;
         let engine = Engine::new(&model);
         let rows = ground_truth_rows(&snap.internet);
-        // Warmup pass: regex programs compile lazily on first match,
-        // and that one-time cost would otherwise land in the timed
-        // pass's p99 and jitter the matrix between runs.
+        // Warmup pass: `Engine::new` compiled every program already,
+        // but the first pass over the rows still pays cold caches and
+        // first-touch page faults, which would otherwise land in the
+        // timed pass's p99 and jitter the matrix between runs.
         for (hostname, _) in &rows {
             std::hint::black_box(engine.extract(hostname));
         }

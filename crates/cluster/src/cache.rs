@@ -16,9 +16,14 @@
 //!
 //! Capacity 0 disables the cache entirely: `get*` always misses and
 //! `insert` is a no-op, so the serving path needs no special casing.
+//!
+//! The cache keeps no counters of its own. Its outcomes reach the
+//! caller — `get_valid` calls its predicate only on a stored entry,
+//! `insert` returns what it evicted, `invalidate` drops exactly the
+//! entries its predicate accepts — and the router counts them into its
+//! per-shard registry series, the one source of cache stats.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Sentinel slab index meaning "no node".
@@ -26,21 +31,6 @@ const NIL: usize = usize::MAX;
 
 /// Default number of mutex stripes.
 const DEFAULT_SEGMENTS: usize = 8;
-
-/// Point-in-time cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups not answered (absent or failed validation).
-    pub misses: u64,
-    /// Entries written.
-    pub inserts: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Entries removed by validation failure or [`ShardedLru::invalidate`].
-    pub invalidations: u64,
-}
 
 struct Node<V> {
     key: String,
@@ -172,11 +162,6 @@ impl<V> Segment<V> {
 pub struct ShardedLru<V> {
     segments: Vec<Mutex<Segment<V>>>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 /// FNV-1a, the same cheap stable hash the engine's benchmarks use for
@@ -205,11 +190,6 @@ impl<V: Clone> ShardedLru<V> {
         ShardedLru {
             segments: (0..nsegs).map(|_| Mutex::new(Segment::new(per_seg))).collect(),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
         }
     }
 
@@ -220,11 +200,6 @@ impl<V: Clone> ShardedLru<V> {
     /// Total configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// False when the cache was built with capacity 0.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     /// Current number of cached entries across all segments.
@@ -242,32 +217,22 @@ impl<V: Clone> ShardedLru<V> {
         self.get_valid(key, |_| true)
     }
 
-    /// Looks up `key`, but only counts the entry as a hit when `valid`
-    /// accepts it; a stale entry is removed and recorded as both an
-    /// invalidation and a miss.
+    /// Looks up `key`, but only returns the entry when `valid` accepts
+    /// it; a stale entry is removed and the lookup misses. `valid` runs
+    /// only on a stored entry, so a caller counting stale entries
+    /// counts in it.
     pub fn get_valid(&self, key: &str, valid: impl FnOnce(&V) -> bool) -> Option<V> {
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut seg = self.segment(key).lock().unwrap();
-        let Some(&i) = seg.map.get(key) else {
-            drop(seg);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
+        let &i = seg.map.get(key)?;
         if !valid(&seg.node(i).value) {
             seg.remove(i);
-            drop(seg);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         seg.touch(i);
-        let value = seg.node(i).value.clone();
-        drop(seg);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
+        Some(seg.node(i).value.clone())
     }
 
     /// Inserts (or refreshes) `key`, evicting the segment's LRU entry
@@ -278,12 +243,7 @@ impl<V: Clone> ShardedLru<V> {
         if self.capacity == 0 {
             return None;
         }
-        let evicted = self.segment(key).lock().unwrap().insert(key, value);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        if evicted.is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        evicted
+        self.segment(key).lock().unwrap().insert(key, value)
     }
 
     /// Removes every entry whose value matches `stale`, returning how
@@ -299,24 +259,7 @@ impl<V: Clone> ShardedLru<V> {
                 dropped += 1;
             }
         }
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         dropped
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) -> u64 {
-        self.invalidate(|_| true)
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -332,20 +275,17 @@ mod tests {
     #[test]
     fn eviction_follows_recency_not_insertion() {
         let c = lru(3);
-        c.insert("a", 1);
-        c.insert("b", 2);
-        c.insert("c", 3);
+        assert_eq!(c.insert("a", 1), None);
+        assert_eq!(c.insert("b", 2), None);
+        assert_eq!(c.insert("c", 3), None);
         // Touch a so b becomes the LRU entry.
         assert_eq!(c.get("a"), Some(1));
-        c.insert("d", 4);
-        assert_eq!(c.get("b"), None, "b was least recently used");
+        assert_eq!(c.insert("d", 4), Some(2), "b was least recently used");
+        assert_eq!(c.get("b"), None);
         assert_eq!(c.get("a"), Some(1));
         assert_eq!(c.get("c"), Some(3));
         assert_eq!(c.get("d"), Some(4));
         assert_eq!(c.len(), 3);
-        let s = c.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.inserts, 4);
     }
 
     #[test]
@@ -353,9 +293,8 @@ mod tests {
         let c = lru(2);
         c.insert("a", 1);
         c.insert("b", 2);
-        c.insert("a", 10); // refresh, not a new entry
+        assert_eq!(c.insert("a", 10), None, "a refresh evicts nothing");
         assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 0);
         c.insert("c", 3); // b is now LRU
         assert_eq!(c.get("b"), None);
         assert_eq!(c.get("a"), Some(10));
@@ -373,13 +312,11 @@ mod tests {
     #[test]
     fn capacity_zero_disables_everything() {
         let c = lru(0);
-        assert!(!c.is_enabled());
-        c.insert("a", 1);
+        assert_eq!(c.capacity(), 0);
+        assert_eq!(c.insert("a", 1), None);
         assert_eq!(c.get("a"), None);
+        assert!(c.get_valid("a", |_| panic!("nothing is stored to validate")).is_none());
         assert_eq!(c.len(), 0);
-        let s = c.stats();
-        assert_eq!(s.inserts, 0);
-        assert_eq!(s.misses, 1);
     }
 
     #[test]
@@ -388,35 +325,29 @@ mod tests {
         c.insert("a", 1);
         c.insert("b", 2);
         assert_eq!(c.get_valid("a", |&v| v > 1), None, "failed validation is a miss");
-        assert_eq!(c.get("a"), None, "stale entry was removed");
+        assert_eq!(c.len(), 1, "stale entry was removed");
+        assert!(c.get_valid("a", |_| panic!("a is gone")).is_none());
         assert_eq!(c.get_valid("b", |&v| v == 2), Some(2));
-        let s = c.stats();
-        assert_eq!(s.invalidations, 1);
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 2);
     }
 
     #[test]
-    fn invalidate_by_predicate_and_clear() {
+    fn invalidate_by_predicate() {
         let c = ShardedLru::with_segments(100, 4);
         for i in 0..20u32 {
             c.insert(&format!("k{i}"), i);
         }
         assert_eq!(c.invalidate(|&v| v % 2 == 0), 10);
         assert_eq!(c.len(), 10);
-        assert_eq!(c.clear(), 10);
+        assert_eq!(c.invalidate(|_| true), 10);
         assert!(c.is_empty());
-        assert_eq!(c.stats().invalidations, 20);
     }
 
     #[test]
     fn slab_slots_are_reused() {
         let c = lru(2);
-        for i in 0..100u32 {
-            c.insert(&format!("k{i}"), i);
-        }
+        let evictions = (0..100u32).filter(|i| c.insert(&format!("k{i}"), *i).is_some()).count();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 98);
+        assert_eq!(evictions, 98);
         // The slab never grew past capacity: evicted slots were reused.
         let seg = c.segments[0].lock().unwrap();
         assert!(seg.slab.len() <= 2);

@@ -5,11 +5,13 @@
 //!
 //! * [`plan`] — deterministic greedy partitioning of a model artifact
 //!   into N weight-balanced shards by registrable-domain suffix, plus
-//!   the shard-map manifest (strict parser, render→parse→render
-//!   fixpoint, truncation-detecting trailer).
+//!   the shard-map manifest that records it. The manifest is written
+//!   for operators and scripts and never parsed.
 //! * [`cache`] — a std-only bounded LRU striped across mutex-guarded
-//!   segments, with read-time validation hooks and
-//!   hit/miss/insert/evict/invalidation counters.
+//!   segments, with read-time validation hooks. It keeps no counters:
+//!   the router counts its hits, misses, evictions and stale entries
+//!   into per-shard registry series, the one source of
+//!   [`CacheStats`].
 //! * [`router`] — the shard router: one immutable routing state (the
 //!   shards' engines and a suffix table over all of them), swapped
 //!   whole on reload. Each lookup reads it once and dispatches once by
@@ -24,16 +26,18 @@
 //! The `hoiho-serve` binary lives in this crate (the serve crate sits
 //! below the cluster layer): `shard` splits an artifact on disk, and
 //! `serve --shards N --cache-capacity K` runs the clustered server.
-//! See `DESIGN.md` §7c for the manifest format and the cache
-//! invalidation rules.
+//! See `DESIGN.md` §7c for the manifest format, the cache
+//! invalidation rules and the cache series.
 
 pub mod cache;
 pub mod plan;
 pub mod router;
 
-pub use cache::{CacheStats, ShardedLru};
+pub use cache::ShardedLru;
 pub use plan::{
-    plan, shard_file_name, split, suffix_weight, Assignment, PlanError, ShardMap, ShardMapError,
+    plan, shard_file_name, split, suffix_weight, Assignment, PlanError, ShardMap,
     SHARDMAP_FILE_NAME, SHARDMAP_VERSION,
 };
-pub use router::{CachedAnswer, ClusterBackend, Route, RouterError, ShardRouter, ShardStats};
+pub use router::{
+    CacheStats, CachedAnswer, ClusterBackend, Route, RouterError, ShardRouter, ShardStats,
+};

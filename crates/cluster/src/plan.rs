@@ -9,14 +9,15 @@
 //! then suffix ascending; lightest shard ties go to the lowest index),
 //! so a given model and shard count always produce the same plan.
 //!
-//! The manifest is a line-based text file in the same strict family as
-//! the model artifact: a versioned header, one `A` record per suffix,
-//! and an `E` trailer carrying totals so truncation can never parse.
-//! [`ShardMap::render`] → [`ShardMap::parse`] → [`ShardMap::render`]
-//! is a fixpoint (property-tested in `tests/properties.rs`):
+//! The manifest is written for operators and for scripts (tier-1's
+//! smoke reads each shard's suffixes from it with `awk`); no program
+//! reads it back, so it is rendered and never parsed. It is a
+//! line-based text file in the same family as the model artifact: a
+//! versioned header, one `A` record per suffix (suffix, shard, weight)
+//! in suffix order, and an `E` trailer carrying the totals:
 //!
 //! ```text
-//! # comments and blank lines are ignored anywhere
+//! # hoiho-cluster shard map; format spec in DESIGN.md
 //! hoiho-shardmap	1	4
 //! A	equinix.com	2	137
 //! A	nts.ch	0	52
@@ -28,8 +29,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Manifest format version written by [`ShardMap::render`] and the
-/// only version [`ShardMap::parse`] accepts.
+/// Manifest format version written by [`ShardMap::render`].
 pub const SHARDMAP_VERSION: u32 = 1;
 
 /// The planner's serving-cost weight for one convention: the total
@@ -62,8 +62,7 @@ pub struct Assignment {
 pub struct ShardMap {
     /// Number of shards planned for (some may own no suffixes).
     pub shards: u32,
-    /// The assignments, sorted by suffix (the render order, enforced
-    /// on parse so the fixpoint holds).
+    /// The assignments, sorted by suffix (the render order).
     pub assignments: Vec<Assignment>,
 }
 
@@ -78,34 +77,6 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
-
-/// A manifest parse failure, pointing at the offending line (1-based;
-/// 0 when not tied to a line).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMapError {
-    /// 1-based line number, 0 when unlocated.
-    pub line: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl ShardMapError {
-    fn at(line: usize, msg: impl Into<String>) -> ShardMapError {
-        ShardMapError { line, msg: msg.into() }
-    }
-}
-
-impl fmt::Display for ShardMapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}", self.msg)
-        } else {
-            write!(f, "line {}: {}", self.line, self.msg)
-        }
-    }
-}
-
-impl std::error::Error for ShardMapError {}
 
 /// Plans a partition of `model` into `shards` shards. Deterministic
 /// for a given model and shard count.
@@ -191,7 +162,7 @@ impl ShardMap {
         loads
     }
 
-    /// Renders the manifest text; `parse(render(m)) == m`.
+    /// Renders the manifest text (module docs).
     pub fn render(&self) -> String {
         let mut s = String::new();
         s.push_str("# hoiho-cluster shard map; format spec in DESIGN.md\n");
@@ -203,155 +174,9 @@ impl ShardMap {
         s
     }
 
-    /// Parses a manifest, reporting the first problem with its line
-    /// number. Strictness: unknown tags, short/long records, shard
-    /// indices outside `0..shards`, duplicate or out-of-order suffixes,
-    /// and truncation (missing or mismatched `E` trailer) are errors.
-    pub fn parse(text: &str) -> Result<ShardMap, ShardMapError> {
-        let mut shards: Option<u32> = None;
-        let mut assignments: Vec<Assignment> = Vec::new();
-        let mut trailer: Option<usize> = None;
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = raw.trim_end_matches('\r');
-            if line.trim().is_empty() || line.trim_start().starts_with('#') {
-                continue;
-            }
-            if let Some(tl) = trailer {
-                return Err(ShardMapError::at(
-                    lineno,
-                    format!("content after the E trailer on line {tl}"),
-                ));
-            }
-            let Some(n_shards) = shards else {
-                let fields: Vec<&str> = line.split('\t').collect();
-                let [tag, version, count] = fields[..] else {
-                    return Err(ShardMapError::at(lineno, "bad header (want 3 fields)"));
-                };
-                if tag != "hoiho-shardmap" {
-                    return Err(ShardMapError::at(lineno, "missing hoiho-shardmap header"));
-                }
-                let version: u32 = version
-                    .parse()
-                    .map_err(|_| ShardMapError::at(lineno, "bad header version"))?;
-                if version != SHARDMAP_VERSION {
-                    return Err(ShardMapError::at(
-                        lineno,
-                        format!(
-                            "unsupported shardmap version {version} (expected {SHARDMAP_VERSION})"
-                        ),
-                    ));
-                }
-                let count: u32 = count
-                    .parse()
-                    .map_err(|_| ShardMapError::at(lineno, "bad shard count"))?;
-                if count == 0 {
-                    return Err(ShardMapError::at(lineno, "shard count must be at least 1"));
-                }
-                shards = Some(count);
-                continue;
-            };
-            let (tag, rest) = line.split_once('\t').unwrap_or((line, ""));
-            match tag {
-                "A" => {
-                    let fields: Vec<&str> = rest.split('\t').collect();
-                    let [suffix, shard, weight] = fields[..] else {
-                        return Err(ShardMapError::at(
-                            lineno,
-                            format!("A record needs 3 fields, got {}", fields.len()),
-                        ));
-                    };
-                    if suffix.is_empty() || suffix.chars().any(|c| c.is_whitespace()) {
-                        return Err(ShardMapError::at(lineno, "bad suffix"));
-                    }
-                    if let Some(last) = assignments.last() {
-                        match last.suffix.as_str().cmp(suffix) {
-                            std::cmp::Ordering::Less => {}
-                            std::cmp::Ordering::Equal => {
-                                return Err(ShardMapError::at(
-                                    lineno,
-                                    format!("duplicate suffix {suffix}"),
-                                ))
-                            }
-                            std::cmp::Ordering::Greater => {
-                                return Err(ShardMapError::at(
-                                    lineno,
-                                    format!("suffix {suffix} out of sorted order"),
-                                ))
-                            }
-                        }
-                    }
-                    let shard: u32 = shard
-                        .parse()
-                        .map_err(|_| ShardMapError::at(lineno, "bad shard index"))?;
-                    if shard >= n_shards {
-                        return Err(ShardMapError::at(
-                            lineno,
-                            format!("shard {shard} out of range (plan has {n_shards})"),
-                        ));
-                    }
-                    let weight: u64 = weight
-                        .parse()
-                        .map_err(|_| ShardMapError::at(lineno, "bad weight"))?;
-                    assignments.push(Assignment { suffix: suffix.to_string(), shard, weight });
-                }
-                "E" => {
-                    let fields: Vec<&str> = rest.split('\t').collect();
-                    let nums: Vec<u64> = fields
-                        .iter()
-                        .map(|v| v.parse::<u64>())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| ShardMapError::at(lineno, "bad trailer field"))?;
-                    let [n, total] = nums[..] else {
-                        return Err(ShardMapError::at(
-                            lineno,
-                            format!("E trailer needs 2 fields, got {}", nums.len()),
-                        ));
-                    };
-                    let got_total: u64 = assignments.iter().map(|a| a.weight).sum();
-                    if n != assignments.len() as u64 || total != got_total {
-                        return Err(ShardMapError::at(
-                            lineno,
-                            format!(
-                                "trailer mismatch: file says {n} assignments / weight {total}, \
-                                 parsed {} / {got_total}",
-                                assignments.len()
-                            ),
-                        ));
-                    }
-                    trailer = Some(lineno);
-                }
-                other => {
-                    return Err(ShardMapError::at(
-                        lineno,
-                        format!("unknown record tag {other:?}"),
-                    ));
-                }
-            }
-        }
-        let Some(shards) = shards else {
-            return Err(ShardMapError::at(0, "empty shard map (no header)"));
-        };
-        if trailer.is_none() {
-            return Err(ShardMapError::at(
-                text.lines().count(),
-                "truncated shard map: missing E trailer",
-            ));
-        }
-        Ok(ShardMap { shards, assignments })
-    }
-
     /// Writes the rendered manifest to `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         std::fs::write(path, self.render())
-    }
-
-    /// Reads and parses a manifest file.
-    pub fn load(path: impl AsRef<Path>) -> Result<ShardMap, ShardMapError> {
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            ShardMapError::at(0, format!("cannot read {}: {e}", path.as_ref().display()))
-        })?;
-        ShardMap::parse(&text)
     }
 }
 
@@ -443,53 +268,31 @@ mod tests {
         }
     }
 
+    /// The manifest bytes, pinned: the comment and header, one `A`
+    /// record per suffix in suffix order (not plan order), and the `E`
+    /// trailer with the assignment count and total weight. The weights
+    /// are the regexes' text lengths, taken heaviest first onto the
+    /// lighter shard: `d.ch` 41 → 0, `a.com` 35 → 1, `b.net` 17 → 1
+    /// (35 < 41), `c.org` 16 → 0 (41 < 52), `e.nz` 14 → 1 (52 < 57).
     #[test]
-    fn manifest_round_trips() {
-        let (_, map) = split(&model(), 4).unwrap();
-        let text = map.render();
-        let parsed = ShardMap::parse(&text).unwrap();
-        assert_eq!(parsed, map);
-        assert_eq!(parsed.render(), text);
-        // Empty plan (no suffixes) still round-trips.
-        let empty = ShardMap { shards: 2, assignments: Vec::new() };
-        assert_eq!(ShardMap::parse(&empty.render()).unwrap(), empty);
-    }
-
-    #[test]
-    fn manifest_truncation_and_corruption_rejected() {
-        let text = split(&model(), 2).unwrap().1.render();
-        let lines: Vec<&str> = text.lines().collect();
-        for cut in 0..lines.len() {
-            assert!(
-                ShardMap::parse(&lines[..cut].join("\n")).is_err(),
-                "prefix of {cut} lines parsed"
-            );
-        }
-        // Shard index out of range.
-        let bad = "hoiho-shardmap\t1\t2\nA\ta.com\t9\t5\nE\t1\t5\n";
-        assert!(ShardMap::parse(bad).unwrap_err().msg.contains("out of range"));
-        // Unknown tag carries its line number.
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        lines[2] = "Z\twhat".into();
-        let err = ShardMap::parse(&lines.join("\n")).unwrap_err();
-        assert_eq!(err.line, 3);
-        // Wrong version.
-        assert!(ShardMap::parse("hoiho-shardmap\t9\t2\nE\t0\t0\n")
-            .unwrap_err()
-            .msg
-            .contains("unsupported"));
-        // Zero shards.
-        assert!(ShardMap::parse("hoiho-shardmap\t1\t0\nE\t0\t0\n").is_err());
-    }
-
-    #[test]
-    fn manifest_ordering_enforced() {
-        // Out-of-order suffixes break the render fixpoint, so parse
-        // rejects them rather than silently re-sorting.
-        let text = "hoiho-shardmap\t1\t2\nA\tb.net\t0\t5\nA\ta.com\t1\t5\nE\t2\t10\n";
-        assert!(ShardMap::parse(text).unwrap_err().msg.contains("out of sorted order"));
-        let text = "hoiho-shardmap\t1\t2\nA\ta.com\t0\t5\nA\ta.com\t1\t5\nE\t2\t10\n";
-        assert!(ShardMap::parse(text).unwrap_err().msg.contains("duplicate suffix"));
+    fn manifest_renders_the_documented_bytes() {
+        let (_, map) = split(&model(), 2).unwrap();
+        assert_eq!(
+            map.render(),
+            "# hoiho-cluster shard map; format spec in DESIGN.md\n\
+             hoiho-shardmap\t1\t2\n\
+             A\ta.com\t1\t35\n\
+             A\tb.net\t1\t17\n\
+             A\tc.org\t0\t16\n\
+             A\td.ch\t0\t41\n\
+             A\te.nz\t1\t14\n\
+             E\t5\t123\n"
+        );
+        let empty = ShardMap { shards: 3, assignments: Vec::new() };
+        assert_eq!(
+            empty.render(),
+            "# hoiho-cluster shard map; format spec in DESIGN.md\nhoiho-shardmap\t1\t3\nE\t0\t0\n"
+        );
     }
 
     #[test]

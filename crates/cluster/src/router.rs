@@ -44,7 +44,7 @@
 //! lingers unservable until evicted; the eager invalidation after the
 //! swap just reclaims space early.
 
-use crate::cache::{CacheStats, ShardedLru};
+use crate::cache::ShardedLru;
 use crate::plan::split;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
@@ -137,6 +137,24 @@ impl Routes {
     }
 }
 
+/// Point-in-time cache counters, summed over the router's per-shard
+/// cache series (`hoiho_cache_*_total`, the `shard="none"` series
+/// included): the numbers `STATS CLUSTER` reports on its `cache` line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups not answered (absent or failed validation).
+    pub misses: u64,
+    /// Entries written: one per miss while the cache is enabled.
+    pub inserts: u64,
+    /// Entries displaced by capacity pressure.
+    pub evictions: u64,
+    /// Entries dropped as stale: at lookup (`hoiho_cache_stale_total`)
+    /// or by a reload (`hoiho_cache_invalidations_total`).
+    pub invalidations: u64,
+}
+
 /// Point-in-time view of one shard for `STATS CLUSTER`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
@@ -164,6 +182,7 @@ struct ShardMetrics {
     cache_misses: Counter,
     cache_evictions: Counter,
     cache_stale: Counter,
+    cache_invalidations: Counter,
 }
 
 /// The router's observability handles: one [`ShardMetrics`] per shard
@@ -193,6 +212,7 @@ impl RouterObs {
                 cache_misses: r.counter("hoiho_cache_misses_total", l),
                 cache_evictions: r.counter("hoiho_cache_evictions_total", l),
                 cache_stale: r.counter("hoiho_cache_stale_total", l),
+                cache_invalidations: r.counter("hoiho_cache_invalidations_total", l),
             }
         };
         let shards: Vec<ShardMetrics> =
@@ -411,9 +431,16 @@ impl ShardRouter {
         let mut generations = live.generations.clone();
         generations[i] += 1;
         let next = Arc::new(Routes::new(shards, generations, live.epoch + 1)?);
-        // Swap, then invalidate against the state just installed.
+        // Swap, then invalidate against the state just installed,
+        // charging each dropped entry to its route's shard.
         *self.routes.write().expect("routes lock poisoned: a swap panicked") = Arc::clone(&next);
-        self.cache.invalidate(|v| !next.current(&v.route));
+        self.cache.invalidate(|v| {
+            let stale = !next.current(&v.route);
+            if stale {
+                self.obs.of_route(&v.route).cache_invalidations.inc();
+            }
+            stale
+        });
         let (n, generation) = (next.shards[i].engine.len(), next.generations[i]);
         let m = &self.obs.shards[i];
         m.reloads.inc();
@@ -467,9 +494,20 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Cache counters snapshot.
+    /// Cache counters snapshot, read from the registry series the
+    /// lookups and reloads count into.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        let mut c = CacheStats::default();
+        for m in self.obs.shards.iter().chain([&self.obs.none]) {
+            c.hits += m.cache_hits.get();
+            c.misses += m.cache_misses.get();
+            c.evictions += m.cache_evictions.get();
+            c.invalidations += m.cache_stale.get() + m.cache_invalidations.get();
+        }
+        if self.cache.capacity() > 0 {
+            c.inserts = c.misses;
+        }
+        c
     }
 }
 
@@ -830,6 +868,99 @@ mod tests {
             .map(|sh| c("hoiho_cache_hits_total", sh) + c("hoiho_cache_misses_total", sh))
             .sum();
         assert_eq!(total, lookups);
+    }
+
+    /// Moves shard `k` to its next generation without a reload's eager
+    /// invalidation, which is what a lookup racing a reload leaves
+    /// behind: a cached entry tagged with the generation before the
+    /// live one. Nothing is written into the cache, so every counter
+    /// the next lookups move is router traffic.
+    fn plant_stale_generation(router: &ShardRouter, k: u32) {
+        let live = router.routes();
+        let mut generations = live.generations.clone();
+        generations[k as usize] += 1;
+        let next = Routes::new(live.shards.clone(), generations, live.epoch).unwrap();
+        *router.routes.write().unwrap() = Arc::new(next);
+    }
+
+    /// Every `CacheStats` field and the `STATS CLUSTER` cache line
+    /// against counts made by hand from a scripted stream, at capacity
+    /// 0 and at capacity 8: eight stripes of one entry each, so the two
+    /// exact-route names below, which share a stripe, evict each other.
+    #[test]
+    fn cache_stats_match_an_independent_tally() {
+        const EQ: &str = "a.b.as64500.equinix.com";
+        const EQ_UPPER: &str = "A.B.AS64500.EQUINIX.COM";
+        // Shares EQ's stripe (FNV-1a of the key, low three bits).
+        const NTS: &str = "ge0-2.01.p.as15576.nts.ch";
+        const UNCOVERED: &str = "nothing.example.org";
+        let stats = |hits, misses, inserts, evictions, invalidations| CacheStats {
+            hits,
+            misses,
+            inserts,
+            evictions,
+            invalidations,
+        };
+        for capacity in [0usize, 8] {
+            let on = capacity > 0;
+            // Per-field hand counts at capacity 8; at capacity 0 every
+            // lookup is a miss and nothing is written or dropped.
+            let tally = |hits: u64, misses: u64, evictions, invalidations, lookups: u64| {
+                if on {
+                    stats(hits, misses, misses, evictions, invalidations)
+                } else {
+                    stats(0, lookups, 0, 0, 0)
+                }
+            };
+            let m = model();
+            let router = Arc::new(ShardRouter::from_model(&m, 2, capacity).unwrap());
+            let routing = owners(&router);
+            let eq = routing["equinix.com"];
+            let ask = |h: &str, asn: Option<u32>| assert_eq!(router.lookup(h).asn, asn, "{h}");
+
+            // Hits, misses and an uncovered name (a cached negative
+            // answer on the shard="none" series).
+            ask(EQ, Some(64500)); // miss
+            ask(EQ, Some(64500)); // hit
+            ask(EQ_UPPER, Some(64500)); // hit: the same key
+            ask(UNCOVERED, None); // miss
+            ask(UNCOVERED, None); // hit
+            assert_eq!(router.cache_stats(), tally(3, 2, 0, 0, 5), "capacity {capacity}");
+            assert_eq!(router.cache().len(), if on { 2 } else { 0 });
+
+            // Eviction: NTS takes EQ's stripe, then EQ takes it back.
+            ask(NTS, Some(15576)); // miss, evicts EQ
+            ask(EQ, Some(64500)); // miss, evicts NTS
+            assert_eq!(router.cache_stats(), tally(3, 4, 2, 0, 7), "capacity {capacity}");
+            assert_eq!(router.cache().len(), if on { 2 } else { 0 });
+
+            // A stale entry: EQ's tag now predates its shard's live
+            // generation, so the lookup drops it and recomputes.
+            plant_stale_generation(&router, eq);
+            ask(EQ, Some(64500)); // stale: an invalidation and a miss
+            assert_eq!(router.cache_stats(), tally(3, 5, 2, 1, 8), "capacity {capacity}");
+
+            // A reload of EQ's shard drops EQ's exact entry and the
+            // uncovered name's miss-route entry.
+            let own = Model {
+                entries: m.entries.iter().filter(|e| routing[&e.suffix] == eq).cloned().collect(),
+            };
+            router.reload_shard(eq, &own).unwrap();
+            assert_eq!(router.cache().len(), 0);
+            assert_eq!(router.cache_stats(), tally(3, 5, 2, 3, 8), "capacity {capacity}");
+            ask(UNCOVERED, None); // miss
+            ask(EQ, Some(64500)); // miss
+            assert_eq!(router.cache_stats(), tally(3, 7, 2, 3, 10), "capacity {capacity}");
+
+            let body = ClusterBackend::new(Arc::clone(&router)).cluster_stats().unwrap();
+            let line = body.lines().find(|l| l.starts_with("cache\t")).unwrap();
+            let want = if on {
+                "cache\tcapacity=8\tlen=2\thits=3\tmisses=7\tinserts=7\tevictions=2\tinvalidations=3"
+            } else {
+                "cache\tcapacity=0\tlen=0\thits=0\tmisses=10\tinserts=0\tevictions=0\tinvalidations=0"
+            };
+            assert_eq!(line, want);
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Property-based tests for the cluster tier, on the devkit harness:
-//! the shard-map manifest has the same fixpoint/truncation guarantees
-//! as the model artifact, splitting is a deterministic balanced
-//! partition, and — the serving-correctness property — cached answers
-//! are byte-equal to uncached answers over arbitrary request streams,
-//! including across a mid-stream per-shard reload.
+//! splitting is a deterministic balanced partition, and — the
+//! serving-correctness property — cached answers are byte-equal to
+//! uncached answers over arbitrary request streams, including across a
+//! mid-stream per-shard reload.
 
 use hoiho::classify::NcClass;
 use hoiho::regex::Regex;
 use hoiho::taxonomy::Taxonomy;
-use hoiho_cluster::{plan, split, suffix_weight, ShardMap, ShardRouter};
+use hoiho_cluster::{split, suffix_weight, ShardRouter};
 use hoiho_devkit::prop::{any, string_of, vec_of, Gen};
 use hoiho_devkit::{prop_assert, prop_assert_eq, props};
 use hoiho_serve::model::{EvalCounts, Model, ModelEntry};
@@ -76,34 +75,6 @@ fn universe(m: &Model) -> Vec<String> {
 
 props! {
     cases = 64;
-
-    /// The manifest guarantee: render → parse → render is a fixpoint,
-    /// for any planned model and shard count.
-    fn shardmap_render_parse_render_fixpoint(m in model(), shards in 1u32..7) {
-        let map = plan(&m, shards).expect("plan");
-        let text = map.render();
-        let parsed = match ShardMap::parse(&text) {
-            Ok(p) => p,
-            Err(e) => return Err(format!("rendered manifest failed to parse: {e}")),
-        };
-        prop_assert_eq!(&parsed, &map);
-        prop_assert_eq!(parsed.render(), text);
-    }
-
-    /// Every strict line-prefix of a manifest is rejected: the trailer
-    /// makes truncation detectable at any cut point.
-    fn shardmap_truncation_always_rejected(m in model(), shards in 1u32..7, cut in 0usize..10_000) {
-        let map = plan(&m, shards).expect("plan");
-        let text = map.render();
-        let lines: Vec<&str> = text.lines().collect();
-        let cut = cut % lines.len();
-        let prefix = lines[..cut].join("\n");
-        let err = match ShardMap::parse(&prefix) {
-            Err(e) => e,
-            Ok(_) => return Err(format!("prefix of {cut}/{} lines parsed", lines.len())),
-        };
-        prop_assert!(err.line <= lines.len(), "error line {} out of range", err.line);
-    }
 
     /// Splitting is a deterministic exact partition and the greedy
     /// balance bound (spread ≤ heaviest item) holds.

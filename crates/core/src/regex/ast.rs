@@ -137,17 +137,6 @@ pub enum Elem {
     Alt(AltGroup),
 }
 
-impl Elem {
-    /// True for the variable-width components the learner may generalise
-    /// or specialise (everything except anchors, literals and alts).
-    pub fn is_component(&self) -> bool {
-        matches!(
-            self,
-            Elem::CaptureDigits | Elem::Digits | Elem::NotIn(_) | Elem::Class(_) | Elem::Any
-        )
-    }
-}
-
 /// A regex in the Hoiho dialect: a sequence of [`Elem`]s.
 ///
 /// Invariants maintained by the constructors and the learner:

@@ -1,9 +1,9 @@
 //! # hoiho-fuzz — structured fuzzing + differential-oracle tier
 //!
-//! The system exposes six strict surfaces real traffic hits: the
-//! regex dialect, the model artifact, the shard map, the scenario
-//! format, the public suffix list (rule files and hostnames), and the
-//! server's byte framing. This crate fuzzes each one
+//! The system exposes strict surfaces that read input from outside:
+//! the regex dialect, the model artifact, the scenario format, the
+//! public suffix list (rule files and hostnames), the server's byte
+//! framing, and the learner's training rows. This crate fuzzes each one
 //! with a *structured* generator (an entropy-budget decoder in the
 //! style of the devkit property harness — see [`input`]) paired with a
 //! *differential oracle*: redundant implementations and documented

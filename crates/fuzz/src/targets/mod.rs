@@ -6,7 +6,6 @@
 //! | regex    | `Regex::parse` + compile      | compiled vs interpreted `find`/`find_trace`, display→parse fixpoint |
 //! | multimatch | `MultiMatcher` pool dispatch | automaton dispatch vs per-regex compiled scans (superset-exact, no repeated or invented index) |
 //! | artifact | `Model::parse`                | render fixpoint + sharded(N) vs single engine answers |
-//! | shardmap | `ShardMap::parse`             | render fixpoint + value equality                  |
 //! | psl      | `PublicSuffixList` lookups + `SuffixTable::resolve` | label-table answers vs the linear-scan reference algorithm |
 //! | scenario | `Scenario::parse`             | canonical render fixpoint                         |
 //! | framing  | server line/`BATCH` framing   | live server vs a framing reference simulation over RNG-fragmented streams |
@@ -24,7 +23,6 @@ mod multimatch;
 mod psl;
 mod regex;
 mod scenario;
-mod shardmap;
 
 use crate::input::FuzzInput;
 
@@ -49,7 +47,6 @@ pub fn all_targets() -> Vec<Box<dyn Target>> {
         Box::new(regex::RegexTarget),
         Box::new(multimatch::MultiMatchTarget),
         Box::new(artifact::ArtifactTarget),
-        Box::new(shardmap::ShardMapTarget),
         Box::new(psl::PslTarget),
         Box::new(scenario::ScenarioTarget),
         Box::new(framing::FramingTarget::new()),

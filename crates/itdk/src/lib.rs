@@ -11,8 +11,6 @@
 //! * [`alias`] — the MIDAR-style alias resolution model: only addresses
 //!   observed in traceroutes are known, and resolution is incomplete
 //!   (a per-snapshot fraction of interfaces stay singletons).
-//! * [`mod@format`] — the ITDK text formats (`nodes`, `nodes.as`,
-//!   `hostnames` files) for storing snapshots.
 //! * [`timeline`](timeline()) — 19 [`SnapshotSpec`]s whose parameters
 //!   evolve the way §4 describes: more operators embed ASNs over time,
 //!   more vantage points observe them, and the annotation method
@@ -23,7 +21,6 @@
 //!   observed interfaces.
 
 pub mod alias;
-pub mod format;
 
 use hoiho::training::{Observation, TrainingSet};
 use hoiho_asdb::{Addr, Asn};

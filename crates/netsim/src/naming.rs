@@ -74,11 +74,6 @@ impl StyleKind {
         )
     }
 
-    /// True when the style embeds *some* ASN (neighbor or own).
-    pub fn embeds_asn(self) -> bool {
-        self.embeds_neighbor_asn() || self == StyleKind::OwnAsn
-    }
-
     /// The scenario-grammar key for the style (also used in
     /// validation errors).
     pub fn label(self) -> &'static str {

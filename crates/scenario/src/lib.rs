@@ -48,9 +48,6 @@ pub use traffic::{Skew, Traffic};
 /// version [`Scenario::parse`] accepts.
 pub const SCENARIO_VERSION: u32 = 1;
 
-/// Conventional extension for scenario files (`scenarios/*.hoiho`).
-pub const SCENARIO_EXT: &str = "hoiho";
-
 /// A parse or compile failure, pointing at the offending line (1-based;
 /// 0 when not tied to a line, e.g. an unreadable file).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -23,16 +23,17 @@
 //! convention ([`CompiledNc::extract_lower`]) directly. `hoiho apply`
 //! runs the learner's conventions directly, resolved the same way.
 
-use crate::model::Model;
+use crate::model::{Model, ModelEntry};
 use hoiho::classify::NcClass;
-use hoiho::regex::{CompiledRegex, Regex};
+use hoiho::regex::CompiledRegex;
 use hoiho_obs::{Counter, Registry};
 use hoiho_psl::{lowercase, Dispatch, PublicSuffixList, SuffixTable};
 use std::sync::Arc;
 
-/// One compiled convention, ready to serve lookups. The regex ASTs are
-/// kept for introspection; queries run the matcher programs, lowered
-/// once at engine construction (model load).
+/// One compiled convention, ready to serve lookups: the suffix it is
+/// keyed under, its §4 class, and its regexes' matcher programs,
+/// compiled once at engine construction (model load) straight from the
+/// model's regexes. Nothing else of the model entry is kept.
 ///
 /// A lookup runs the programs in rank order with no pool-level
 /// prefilter ahead of them. A learned set holds at most six regexes,
@@ -50,18 +51,17 @@ pub struct CompiledNc {
     pub suffix: Arc<str>,
     /// §4 quality class.
     pub class: NcClass,
-    /// True when the convention labels a single ASN (Figure 2).
-    pub single: bool,
-    /// The regexes, in rank order.
-    pub regexes: Vec<Regex>,
-    /// The compiled form of `regexes`, same order.
+    /// The compiled regexes, in rank order.
     programs: Vec<CompiledRegex>,
 }
 
 impl CompiledNc {
-    fn new(suffix: &str, class: NcClass, single: bool, regexes: Vec<Regex>) -> CompiledNc {
-        let programs: Vec<CompiledRegex> = regexes.iter().map(CompiledRegex::compile).collect();
-        CompiledNc { suffix: suffix.into(), class, single, regexes, programs }
+    fn new(entry: &ModelEntry) -> CompiledNc {
+        CompiledNc {
+            suffix: entry.suffix.as_str().into(),
+            class: entry.class,
+            programs: entry.regexes.iter().map(CompiledRegex::compile).collect(),
+        }
     }
 
     /// Runs the convention on an already-lowercased hostname —
@@ -138,11 +138,7 @@ pub struct Engine {
 impl Engine {
     /// Compiles a model into an engine using the built-in PSL snapshot.
     pub fn new(model: &Model) -> Engine {
-        let ncs: Vec<CompiledNc> = model
-            .entries
-            .iter()
-            .map(|e| CompiledNc::new(&e.suffix, e.class, e.single, e.regexes.clone()))
-            .collect();
+        let ncs: Vec<CompiledNc> = model.entries.iter().map(CompiledNc::new).collect();
         let mut table = SuffixTable::new(PublicSuffixList::builtin());
         for (i, nc) in ncs.iter().enumerate() {
             table.insert(&nc.suffix, i);
@@ -209,7 +205,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{EvalCounts, Model, ModelEntry};
+    use crate::model::EvalCounts;
+    use hoiho::regex::Regex;
     use hoiho::taxonomy::Taxonomy;
 
     fn entry(suffix: &str, rx: &[&str]) -> ModelEntry {
@@ -321,7 +318,7 @@ mod tests {
         pool.push(r"^(\d+)-.+\.equinix\.com$".to_string());
         let refs: Vec<&str> = pool.iter().map(String::as_str).collect();
         let e = Engine::new(&Model { entries: vec![entry("equinix.com", &refs)] });
-        assert_eq!(e.conventions()[0].regexes.len(), 72);
+        assert_eq!(e.conventions()[0].programs.len(), 72);
         assert_eq!(e.extract("p714.sgw.equinix.com").asn, Some(714));
         assert_eq!(e.extract("24482-fr5-ix.equinix.com").asn, Some(24482));
         assert_eq!(e.extract("decoy3x15.equinix.com").asn, Some(15));

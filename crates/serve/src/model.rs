@@ -4,9 +4,8 @@
 //! A *model* is what an offline learning run produces and a serving
 //! process consumes: every learned naming convention with its regexes,
 //! §4 quality class, single-ASN flag, Table 1 taxonomy, and evaluation
-//! counts. The format is tab-separated records in the spirit of the
-//! ITDK text formats the rest of the workspace already reads and
-//! writes:
+//! counts. The format is tab-separated records in the spirit of
+//! CAIDA's ITDK text files:
 //!
 //! ```text
 //! # comments and blank lines are ignored anywhere

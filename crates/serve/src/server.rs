@@ -476,22 +476,54 @@ impl Shared {
     }
 }
 
-/// The protocol verb a request line is, for metric labels and the
-/// slow-query log.
-fn verb_of(request: &str) -> &'static str {
-    match request {
-        "STATS" => "stats",
-        "STATS SUFFIX" => "stats_suffix",
-        "STATS CLUSTER" => "stats_cluster",
-        "METRICS" => "metrics",
-        "PROFILE" => "profile",
-        "SLO" => "slo",
-        "SHUTDOWN" => "shutdown",
-        r if r.starts_with("RELOAD ") => "reload",
-        r if r == "EVENTS" || r.starts_with("EVENTS ") => "events",
-        r if r == "TRACES" || r.starts_with("TRACES ") => "traces",
-        r if r == "BATCH" || r.starts_with("BATCH ") => "batch",
-        _ => "query",
+/// A request line's verb, classified once per request: it picks the
+/// answer, labels the request's `hoiho_requests_total` series and
+/// slow-query event, and tags its root span. Each verb's discriminant
+/// is its span detail code, whose wire name is the metric label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Verb {
+    Query = detail::QUERY,
+    Batch = detail::BATCH,
+    Stats = detail::STATS,
+    StatsSuffix = detail::STATS_SUFFIX,
+    StatsCluster = detail::STATS_CLUSTER,
+    Metrics = detail::METRICS,
+    Events = detail::EVENTS,
+    Reload = detail::RELOAD,
+    Shutdown = detail::SHUTDOWN,
+    Traces = detail::TRACES,
+    Profile = detail::PROFILE,
+    Slo = detail::SLO,
+}
+
+impl Verb {
+    /// Classifies a trimmed request line; a line that is no verb is a
+    /// hostname query.
+    fn of(request: &str) -> Verb {
+        // `w` alone, or `w` and its argument.
+        let word = |w: &str| {
+            request.strip_prefix(w).is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+        };
+        match request {
+            "STATS" => Verb::Stats,
+            "STATS SUFFIX" => Verb::StatsSuffix,
+            "STATS CLUSTER" => Verb::StatsCluster,
+            "METRICS" => Verb::Metrics,
+            "PROFILE" => Verb::Profile,
+            "SLO" => Verb::Slo,
+            "SHUTDOWN" => Verb::Shutdown,
+            r if r.starts_with("RELOAD ") => Verb::Reload,
+            _ if word("EVENTS") => Verb::Events,
+            _ if word("TRACES") => Verb::Traces,
+            _ if word("BATCH") => Verb::Batch,
+            _ => Verb::Query,
+        }
+    }
+
+    /// The metric label and slow-query log name.
+    fn name(self) -> &'static str {
+        detail::name(self as u8)
     }
 }
 
@@ -500,8 +532,14 @@ fn verb_of(request: &str) -> &'static str {
 /// `TRACES [n]`, `PROFILE` and `SLO`. [`Client::listing`] reads one.
 pub fn is_listing(request: &str) -> bool {
     matches!(
-        verb_of(request.trim()),
-        "stats_suffix" | "stats_cluster" | "metrics" | "events" | "traces" | "profile" | "slo"
+        Verb::of(request.trim()),
+        Verb::StatsSuffix
+            | Verb::StatsCluster
+            | Verb::Metrics
+            | Verb::Events
+            | Verb::Traces
+            | Verb::Profile
+            | Verb::Slo
     )
 }
 
@@ -828,8 +866,9 @@ impl Conn {
         true
     }
 
-    /// Routes one framed line: a batch item, a `BATCH` header, or an
-    /// ordinary request.
+    /// Serves one framed line: a batch item, or a request classified
+    /// once and accounted once ([`account`]). A `BATCH` header that
+    /// arms collection is accounted when its batch completes.
     fn serve_text(&mut self, text: &str, shared: &Shared, phase: &PhaseCell) {
         if let Some(b) = self.batch.as_mut() {
             b.text.push_str(text.trim());
@@ -841,22 +880,43 @@ impl Conn {
             return;
         }
         let request = text.trim();
-        if request == "BATCH" || request.starts_with("BATCH ") {
-            self.serve_batch_header(request, shared);
+        if request.is_empty() {
             return;
         }
-        serve_line(text, self.admin, &mut self.out, shared, phase);
+        let t0 = Instant::now();
+        let verb = Verb::of(request);
+        let ok = if verb == Verb::Batch {
+            match self.open_batch(request, shared) {
+                Some(ok) => ok,
+                None => return,
+            }
+        } else {
+            let ctx = trace_ctx(shared);
+            // The request's root span: the whole server-side handling,
+            // closed (and recorded) before the accounting below so a
+            // TRACES dump in a later pipelined request sees it complete.
+            let mut root = ctx.span(Layer::Server);
+            root.detail(verb as u8);
+            phase.set(Phase::Backend);
+            let ok = respond(verb, request, self.admin, &mut self.out, shared, &ctx);
+            phase.set(Phase::Write);
+            ok
+        };
+        account(shared, verb, ok, t0, ("request", request));
     }
 
-    /// Parses a `BATCH <n>` header: arms collection, or answers the
-    /// degenerate/invalid forms immediately. Needs no admin privilege —
-    /// batch lines are strictly hostname queries, so a batch can smuggle
-    /// no verb.
-    fn serve_batch_header(&mut self, request: &str, shared: &Shared) {
-        let t0 = Instant::now();
-        let arg = request.strip_prefix("BATCH").unwrap_or_default().trim();
-        let response = match arg.parse::<usize>() {
-            Ok(0) => Some("ok\tbatch\t0\n".to_string()),
+    /// Opens a `BATCH <n>` request: arms collection of its `n` items
+    /// and returns `None`, or answers a count of 0 or an invalid one at
+    /// once and returns whether that answer is `ok`. Needs no admin
+    /// privilege — batch lines are strictly hostname queries, so a
+    /// batch can smuggle no verb.
+    fn open_batch(&mut self, request: &str, shared: &Shared) -> Option<bool> {
+        let arg = request["BATCH".len()..].trim();
+        match arg.parse::<usize>() {
+            Ok(0) => {
+                self.out.extend_from_slice(b"ok\tbatch\t0\n");
+                Some(true)
+            }
             Ok(n) if n <= MAX_BATCH => {
                 self.batch = Some(BatchState {
                     expected: n,
@@ -867,21 +927,14 @@ impl Conn {
             }
             Ok(n) => {
                 shared.count_error();
-                Some(format!("err\tBATCH count {n} exceeds the cap of {MAX_BATCH}\n"))
+                let _ = writeln!(self.out, "err\tBATCH count {n} exceeds the cap of {MAX_BATCH}");
+                Some(false)
             }
             Err(_) => {
                 shared.count_error();
-                Some(format!("err\tBATCH takes a hostname count, got {arg:?}\n"))
+                let _ = writeln!(self.out, "err\tBATCH takes a hostname count, got {arg:?}");
+                Some(false)
             }
-        };
-        if let Some(resp) = response {
-            shared.metrics.latency.observe(t0.elapsed().as_nanos() as u64);
-            if resp.starts_with("err\t") {
-                shared.metrics.batch_err.inc();
-            } else {
-                shared.metrics.batch_ok.inc();
-            }
-            self.out.extend_from_slice(resp.as_bytes());
         }
     }
 
@@ -1062,63 +1115,42 @@ fn accept_ready(
     }
 }
 
-/// Serves one framed request line into `out`.
-///
-/// This is where per-request observability happens: every request is
-/// timed into the latency histogram, non-query verbs are counted by
-/// verb and ok/err outcome (queries count themselves by hit/miss
-/// inside [`respond`], where the answer is known), and anything slower
-/// than the configured threshold lands in the event log with its
-/// request line. The counting runs *after* `respond`, so a `METRICS`
-/// response reflects the traffic before the request itself.
-fn serve_line(text: &str, admin: bool, out: &mut Vec<u8>, shared: &Shared, phase: &PhaseCell) {
-    let request = text.trim();
-    if request.is_empty() {
-        return;
-    }
-    let t0 = Instant::now();
-    let verb = verb_of(request);
-    let ctx = trace_ctx(shared);
-    let response = {
-        // The request's root span: the whole server-side handling,
-        // closed (and recorded) before the accounting below so a
-        // TRACES dump in a later pipelined request sees it complete.
-        let mut root = ctx.span(Layer::Server);
-        root.detail(detail::code(verb).unwrap_or(detail::OTHER));
-        phase.set(Phase::Backend);
-        let r = respond(request, admin, shared, &ctx);
-        phase.set(Phase::Write);
-        r
-    };
+/// Accounts one request, the same way for every verb: its latency into
+/// the histogram, its verb and outcome into `hoiho_requests_total`
+/// (`hit`/`miss` for a query, `ok`/`err` for the rest), and a
+/// `slow_query` event naming `subject` when it took the slow threshold
+/// or longer. It runs after the response is written into the
+/// connection's buffer and before that buffer is flushed, so a
+/// `METRICS` reports the traffic before itself, and a client that has
+/// read a reply finds its request counted.
+fn account(shared: &Shared, verb: Verb, ok: bool, t0: Instant, subject: (&str, &str)) {
     let dur_ns = t0.elapsed().as_nanos() as u64;
-    shared.metrics.latency.observe(dur_ns);
-    if verb != "query" {
-        let outcome = if response.starts_with("err\t") { "err" } else { "ok" };
-        shared
-            .obs
-            .registry()
-            .counter("hoiho_requests_total", &[("verb", verb), ("outcome", outcome)])
-            .inc();
+    let m = &shared.metrics;
+    m.latency.observe(dur_ns);
+    match (verb, ok) {
+        (Verb::Query, true) => m.query_hit.inc(),
+        (Verb::Query, false) => m.query_miss.inc(),
+        (Verb::Batch, true) => m.batch_ok.inc(),
+        (Verb::Batch, false) => m.batch_err.inc(),
+        (verb, ok) => {
+            let outcome = if ok { "ok" } else { "err" };
+            let labels = [("verb", verb.name()), ("outcome", outcome)];
+            shared.obs.registry().counter("hoiho_requests_total", &labels).inc();
+        }
     }
     if dur_ns >= shared.obs.slow_threshold_ns() {
         shared.obs.events().record(
             "slow_query",
-            &[("verb", verb), ("request", request), ("dur_ns", &dur_ns.to_string())],
+            &[("verb", verb.name()), subject, ("dur_ns", &dur_ns.to_string())],
         );
     }
-    out.extend_from_slice(response.as_bytes());
 }
 
 /// Executes a completed `BATCH`: answers every collected hostname in
-/// order, rendering straight into the connection's output buffer.
-///
-/// Accounting: each item counts into the query hit/miss totals (bulk
-/// adds — exact, just cheaper), the batch itself counts once under
-/// `verb="batch"`, and the latency histogram observes the batch once.
-/// All of it is observed *before* the response is rendered into `out`
-/// — the same compute → count → write order as [`serve_line`] — so the
-/// registry is never caught mid-batch: by the time any later pipelined
-/// `METRICS` runs, the batch is either fully counted or not started.
+/// order, rendering straight into the connection's output buffer with
+/// one reservation and no per-answer allocation. Each item counts into
+/// the query hit/miss totals (bulk adds — exact, just cheaper); the
+/// batch itself is accounted once, as one request.
 fn serve_batch(hosts: &[&str], out: &mut Vec<u8>, shared: &Shared, phase: &PhaseCell) {
     let t0 = Instant::now();
     let ctx = trace_ctx(shared);
@@ -1130,188 +1162,155 @@ fn serve_batch(hosts: &[&str], out: &mut Vec<u8>, shared: &Shared, phase: &Phase
     };
     phase.set(Phase::Write);
     debug_assert_eq!(answers.len(), hosts.len(), "backend must answer every batch item");
-    let mut hits = 0u64;
-    for a in &answers {
-        hits += u64::from(a.asn.is_some());
-    }
-    let misses = hosts.len() as u64 - hits;
+    let hits = answers.iter().filter(|a| a.asn.is_some()).count() as u64;
     shared.metrics.query_hit.add(hits);
-    shared.metrics.query_miss.add(misses);
-    let dur_ns = t0.elapsed().as_nanos() as u64;
-    shared.metrics.latency.observe(dur_ns);
-    shared.metrics.batch_ok.inc();
-    if dur_ns >= shared.obs.slow_threshold_ns() {
-        shared.obs.events().record(
-            "slow_query",
-            &[
-                ("verb", "batch"),
-                ("items", &hosts.len().to_string()),
-                ("dur_ns", &dur_ns.to_string()),
-            ],
-        );
-    }
-    // ~48 bytes per answer line in practice; one reservation, no
-    // per-answer allocations.
+    shared.metrics.query_miss.add(hosts.len() as u64 - hits);
+    let items = hosts.len().to_string();
+    // ~48 bytes per answer line in practice.
     out.reserve(hosts.len() * 48 + 16);
     out.extend_from_slice(b"ok\tbatch\t");
-    out.extend_from_slice(hosts.len().to_string().as_bytes());
+    out.extend_from_slice(items.as_bytes());
     out.push(b'\n');
     for (h, a) in hosts.iter().zip(&answers) {
         a.render_line_into(h, out);
     }
+    account(shared, Verb::Batch, true, t0, ("items", &items));
 }
 
 /// Refusal sent to non-loopback peers issuing admin verbs.
 const ERR_NOT_ADMIN: &str = "err\tadmin commands require a loopback peer\n";
 
-/// Computes the response (including trailing newline) for one request.
-/// `admin` is true when the peer may issue `RELOAD`/`SHUTDOWN` (and
-/// the other loopback-gated verbs: `EVENTS`, `TRACES`).
-fn respond(request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx) -> String {
-    match request {
-        "STATS" => {
+/// Writes the response (including its trailing newline) to one request
+/// into `out`, and returns whether it succeeded: for a query, whether
+/// it extracted an ASN. `admin` is true when the peer may send the
+/// loopback-gated verbs (`RELOAD`, `SHUTDOWN`, `EVENTS`, `TRACES`).
+fn respond(
+    verb: Verb,
+    request: &str,
+    admin: bool,
+    out: &mut Vec<u8>,
+    shared: &Shared,
+    ctx: &TraceCtx,
+) -> bool {
+    if !admin && matches!(verb, Verb::Reload | Verb::Shutdown | Verb::Events | Verb::Traces) {
+        shared.count_error();
+        shared.obs.events().record("admin_refused", &[("verb", verb.name())]);
+        out.extend_from_slice(ERR_NOT_ADMIN.as_bytes());
+        return false;
+    }
+    // The listings: every arm that does not return builds a body, which
+    // the `.` line terminates.
+    let body = match verb {
+        Verb::Query => {
+            let answer = shared.backend.query(request, ctx);
+            answer.render_line_into(request, out);
+            return answer.asn.is_some();
+        }
+        Verb::Batch => unreachable!("a BATCH header opens in Conn::serve_text"),
+        Verb::Stats => {
             let m = &shared.metrics;
-            format!(
-                "stats\thits={}\tmisses={}\terrors={}\tconns={}\tmodel={}\n",
+            let _ = writeln!(
+                out,
+                "stats\thits={}\tmisses={}\terrors={}\tconns={}\tmodel={}",
                 m.query_hit.get(),
                 m.query_miss.get(),
                 m.protocol_errors.get(),
                 m.connections.get(),
                 shared.backend.model_len(),
-            )
+            );
+            return true;
         }
-        "STATS SUFFIX" => {
-            let mut out = String::new();
+        Verb::StatsSuffix => {
+            let mut body = String::new();
             for (suffix, n) in shared.backend.per_suffix() {
-                out.push_str(&format!("{suffix}\t{n}\n"));
+                body.push_str(&format!("{suffix}\t{n}\n"));
             }
-            out.push_str(".\n");
-            out
+            body
         }
-        "STATS CLUSTER" => match shared.backend.cluster_stats() {
-            Some(body) => body,
+        Verb::StatsCluster => match shared.backend.cluster_stats() {
+            // The backend's body carries its own terminator.
+            Some(body) => {
+                out.extend_from_slice(body.as_bytes());
+                return true;
+            }
             None => {
                 shared.count_error();
-                "err\tnot a cluster backend\n".to_string()
+                out.extend_from_slice(b"err\tnot a cluster backend\n");
+                return false;
             }
         },
-        "METRICS" => {
-            let mut out = shared.obs.registry().render();
-            out.push_str(".\n");
-            out
-        }
-        "PROFILE" => {
+        Verb::Metrics => shared.obs.registry().render(),
+        Verb::Profile => {
             // The profiler's phase buckets, plus per-layer span
             // self-time attributed from whatever the span ring holds.
-            let mut out = shared.obs.profiler().render();
+            let mut body = shared.obs.profiler().render();
             let spans = shared.obs.spans().dump(usize::MAX);
-            out.push_str("# TYPE hoiho_span_self_time_ns gauge\n");
+            body.push_str("# TYPE hoiho_span_self_time_ns gauge\n");
             for (layer, ns) in span::self_time_by_layer(&spans) {
-                out.push_str(&format!(
+                body.push_str(&format!(
                     "hoiho_span_self_time_ns{{layer=\"{}\"}} {ns}\n",
                     layer.name()
                 ));
             }
-            out.push_str(".\n");
-            out
+            body
         }
-        "SLO" => {
+        Verb::Slo => {
             let snap =
                 slo::snapshot_registry(shared.obs.registry(), shared.obs.spans().now_ns());
-            let statuses = shared.obs.slo().report(&snap);
-            let mut out = slo::render_statuses(&statuses);
-            out.push_str(".\n");
-            out
+            slo::render_statuses(&shared.obs.slo().report(&snap))
         }
-        "SHUTDOWN" => {
-            if !admin {
-                return refuse_admin("shutdown", shared);
-            }
+        Verb::Shutdown => {
             shared.request_shutdown();
-            "ok\tbye\n".to_string()
+            out.extend_from_slice(b"ok\tbye\n");
+            return true;
         }
-        _ if request == "EVENTS" || request.starts_with("EVENTS ") => {
-            if !admin {
-                return refuse_admin("events", shared);
-            }
-            let n = match request.strip_prefix("EVENTS").map(str::trim) {
-                Some("") => usize::MAX,
-                Some(arg) => match arg.parse::<usize>() {
+        Verb::Events | Verb::Traces => {
+            // One count argument for both dumps: absent means every
+            // buffered record.
+            let word = if verb == Verb::Events { "EVENTS" } else { "TRACES" };
+            let arg = request[word.len()..].trim();
+            let n = match arg {
+                "" => usize::MAX,
+                _ => match arg.parse::<usize>() {
                     Ok(n) => n,
                     Err(_) => {
                         shared.count_error();
-                        return format!("err\tEVENTS takes a count, got {arg:?}\n");
+                        let _ = writeln!(out, "err\t{word} takes a count, got {arg:?}");
+                        return false;
                     }
                 },
-                None => unreachable!("guarded by the match arm"),
             };
-            let mut out = shared.obs.events().render_jsonl(n);
-            out.push_str(".\n");
-            out
-        }
-        _ if request == "TRACES" || request.starts_with("TRACES ") => {
-            // Loopback-gated like EVENTS: span dumps carry request
-            // shapes and timings, which an arbitrary peer has no
-            // business reading.
-            if !admin {
-                return refuse_admin("traces", shared);
+            // TRACES is loopback-gated like EVENTS: span dumps carry
+            // request shapes and timings, which an arbitrary peer has
+            // no business reading.
+            if verb == Verb::Events {
+                shared.obs.events().render_jsonl(n)
+            } else {
+                shared.obs.spans().render_jsonl(n)
             }
-            let n = match request.strip_prefix("TRACES").map(str::trim) {
-                Some("") => usize::MAX,
-                Some(arg) => match arg.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        shared.count_error();
-                        return format!("err\tTRACES takes a count, got {arg:?}\n");
-                    }
-                },
-                None => unreachable!("guarded by the match arm"),
-            };
-            let mut out = shared.obs.spans().render_jsonl(n);
-            out.push_str(".\n");
-            out
         }
-        _ if request.starts_with("RELOAD ") => {
-            if !admin {
-                return refuse_admin("reload", shared);
-            }
+        Verb::Reload => {
             let args = &request["RELOAD ".len()..];
-            match shared.backend.reload(args) {
+            return match shared.backend.reload(args) {
                 Ok(msg) => {
-                    shared
-                        .obs
-                        .events()
-                        .record("reload", &[("args", args.trim()), ("result", &msg)]);
-                    format!("ok\t{msg}\n")
+                    let events = shared.obs.events();
+                    events.record("reload", &[("args", args.trim()), ("result", &msg)]);
+                    let _ = writeln!(out, "ok\t{msg}");
+                    true
                 }
                 Err(e) => {
                     shared.count_error();
-                    shared
-                        .obs
-                        .events()
-                        .record("reload_failed", &[("args", args.trim()), ("error", &e)]);
-                    format!("err\t{e}\n")
+                    let events = shared.obs.events();
+                    events.record("reload_failed", &[("args", args.trim()), ("error", &e)]);
+                    let _ = writeln!(out, "err\t{e}");
+                    false
                 }
-            }
-        }
-        hostname => {
-            let answer = shared.backend.query(hostname, ctx);
-            match answer.asn {
-                Some(_) => shared.metrics.query_hit.inc(),
-                None => shared.metrics.query_miss.inc(),
             };
-            let mut line = Vec::with_capacity(hostname.len() + 48);
-            answer.render_line_into(hostname, &mut line);
-            String::from_utf8(line).expect("answer lines are UTF-8")
         }
-    }
-}
-
-/// Counts and logs a refused admin verb, returning the refusal line.
-fn refuse_admin(verb: &str, shared: &Shared) -> String {
-    shared.count_error();
-    shared.obs.events().record("admin_refused", &[("verb", verb)]);
-    ERR_NOT_ADMIN.to_string()
+    };
+    out.extend_from_slice(body.as_bytes());
+    out.extend_from_slice(b".\n");
+    true
 }
 
 /// The client's transport: a plain socket, or one wrapped in the
@@ -1729,6 +1728,11 @@ mod tests {
         let m = model("example.com", r"^as(\d+)\.example\.com$");
         let shared = Shared::new(Arc::new(EngineBackend::new(Arc::new(Engine::new(&m)))));
         let off = TraceCtx::off();
+        let respond = |request: &str, admin: bool, shared: &Shared, ctx: &TraceCtx| {
+            let mut out = Vec::new();
+            super::respond(Verb::of(request), request, admin, &mut out, shared, ctx);
+            String::from_utf8(out).unwrap()
+        };
         assert_eq!(respond("SHUTDOWN", false, &shared, &off), ERR_NOT_ADMIN);
         assert!(!shared.shutdown.load(Ordering::SeqCst), "non-admin SHUTDOWN must not stop the server");
         assert_eq!(respond("RELOAD /etc/passwd", false, &shared, &off), ERR_NOT_ADMIN);

@@ -59,8 +59,8 @@
 #      SCENARIOS.json's byte for byte.
 #  11. A fuzz-tier smoke: replay the committed `fuzz/corpus/` through
 #      every target's oracle, then a short fixed-seed fuzz run across
-#      all eight targets (regex, multimatch, artifact, shardmap, psl,
-#      scenario, framing, learn) that must find nothing.
+#      all seven targets (regex, multimatch, artifact, psl, scenario,
+#      framing, learn) that must find nothing.
 #  12. A fault-injection smoke over the live cluster server: loadgen
 #      with --chaos 0.2 must terminate, report its error rate, and
 #      leave the server answering normally.
