@@ -8,7 +8,6 @@
 
 use crate::prefix::Prefix;
 use crate::{Addr, Asn};
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// One IXP: its peering LAN prefix and member ASNs.
@@ -66,16 +65,6 @@ impl IxpDirectory {
         self.ixps.iter().find(|x| x.lan.contains(addr))
     }
 
-    /// True if `addr` is on any IXP LAN.
-    pub fn is_ixp_addr(&self, addr: Addr) -> bool {
-        self.ixp_for_addr(addr).is_some()
-    }
-
-    /// All member ASNs across every IXP.
-    pub fn all_members(&self) -> BTreeSet<Asn> {
-        self.ixps.iter().flat_map(|x| x.members.iter().copied()).collect()
-    }
-
     /// Parses the text format `name|prefix|asn,asn,...`.
     pub fn parse(text: &str) -> Result<IxpDirectory, String> {
         let mut out = IxpDirectory::new();
@@ -116,6 +105,7 @@ impl IxpDirectory {
 mod tests {
     use super::*;
     use crate::addr_parse;
+    use std::collections::BTreeSet;
 
     fn dir() -> IxpDirectory {
         let mut d = IxpDirectory::new();
@@ -130,15 +120,16 @@ mod tests {
         let ix = d.ixp_for_addr(addr_parse("203.0.113.7").unwrap()).unwrap();
         assert_eq!(ix.name, "AKL-IX");
         assert_eq!(ix.members, vec![681, 9500, 24940]);
-        assert!(d.is_ixp_addr(addr_parse("198.51.100.1").unwrap()));
-        assert!(!d.is_ixp_addr(addr_parse("198.51.100.200").unwrap()));
-        assert!(!d.is_ixp_addr(addr_parse("8.8.8.8").unwrap()));
+        assert!(d.ixp_for_addr(addr_parse("198.51.100.1").unwrap()).is_some());
+        assert!(d.ixp_for_addr(addr_parse("198.51.100.200").unwrap()).is_none());
+        assert!(d.ixp_for_addr(addr_parse("8.8.8.8").unwrap()).is_none());
     }
 
     #[test]
     fn members_aggregate() {
         let d = dir();
-        assert_eq!(d.all_members(), BTreeSet::from([681, 3356, 9500, 24940, 205073]));
+        let all: BTreeSet<Asn> = d.ixps().iter().flat_map(|x| x.members.iter().copied()).collect();
+        assert_eq!(all, BTreeSet::from([681, 3356, 9500, 24940, 205073]));
         assert_eq!(d.len(), 2);
     }
 

@@ -1,14 +1,13 @@
-//! A bounded, sharded LRU response cache.
+//! A bounded LRU response cache.
 //!
-//! Std-only: the map is striped across mutex-guarded segments selected
-//! by an FNV-1a hash of the key, so concurrent lookups on different
-//! keys rarely contend. Each segment is an independent LRU of capacity
-//! `ceil(capacity / segments)` backed by a slab (`Vec<Option<Node>>` +
-//! free list) with intrusive prev/next indices — no per-entry
-//! allocation churn and no unsafe.
+//! Std-only: one LRU behind one mutex, backed by a slab
+//! (`Vec<Option<Node>>` + free list) with intrusive prev/next indices —
+//! no per-entry allocation churn and no unsafe. It holds at most
+//! `capacity` entries and evicts its least recently used entry only
+//! when it is full.
 //!
-//! Values are validated at read time: [`ShardedLru::get_valid`] takes
-//! a predicate and treats a failing entry as a miss, removing it. The
+//! Values are validated at read time: [`Lru::get_valid`] takes a
+//! predicate and treats a failing entry as a miss, removing it. The
 //! router uses this to reject entries whose recorded shard generation
 //! or routing epoch no longer matches, which is what makes the cache
 //! safe across hot reloads (see `router` module docs for the full
@@ -24,13 +23,10 @@
 //! per-shard registry series, the one source of cache stats.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Sentinel slab index meaning "no node".
 const NIL: usize = usize::MAX;
-
-/// Default number of mutex stripes.
-const DEFAULT_SEGMENTS: usize = 8;
 
 struct Node<V> {
     key: String,
@@ -39,10 +35,8 @@ struct Node<V> {
     next: usize,
 }
 
-/// One mutex stripe: an LRU list threaded through a slab.
-struct Segment<V> {
-    /// Per-segment capacity; 0 disables the segment.
-    capacity: usize,
+/// The LRU list threaded through a slab; [`Lru`] guards it.
+struct List<V> {
     map: HashMap<String, usize>,
     slab: Vec<Option<Node<V>>>,
     free: Vec<usize>,
@@ -52,18 +46,7 @@ struct Segment<V> {
     tail: usize,
 }
 
-impl<V> Segment<V> {
-    fn new(capacity: usize) -> Segment<V> {
-        Segment {
-            capacity,
-            map: HashMap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
+impl<V> List<V> {
     fn node(&self, i: usize) -> &Node<V> {
         self.slab[i].as_ref().expect("live slab index")
     }
@@ -123,88 +106,43 @@ impl<V> Segment<V> {
             self.link_front(i);
         }
     }
-
-    /// Inserts or overwrites; returns the value displaced by capacity
-    /// pressure, if any (so the caller can attribute the eviction).
-    fn insert(&mut self, key: &str, value: V) -> Option<V> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if let Some(&i) = self.map.get(key) {
-            self.node_mut(i).value = value;
-            self.touch(i);
-            return None;
-        }
-        let mut evicted = None;
-        if self.map.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL);
-            evicted = Some(self.remove(lru));
-        }
-        let node = Node { key: key.to_string(), value, prev: NIL, next: NIL };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = Some(node);
-                i
-            }
-            None => {
-                self.slab.push(Some(node));
-                self.slab.len() - 1
-            }
-        };
-        self.map.insert(key.to_string(), i);
-        self.link_front(i);
-        evicted
-    }
 }
 
-/// A bounded LRU map striped across mutex-guarded segments.
-pub struct ShardedLru<V> {
-    segments: Vec<Mutex<Segment<V>>>,
+/// A bounded LRU map behind one mutex.
+pub struct Lru<V> {
+    inner: Mutex<List<V>>,
+    /// At most this many entries; 0 disables the cache.
     capacity: usize,
 }
 
-/// FNV-1a, the same cheap stable hash the engine's benchmarks use for
-/// key spreading; segment choice only needs decent low-bit diffusion.
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-impl<V: Clone> ShardedLru<V> {
-    /// A cache holding at most `capacity` entries total, striped over
-    /// the default segment count. Capacity 0 disables caching.
-    pub fn new(capacity: usize) -> ShardedLru<V> {
-        ShardedLru::with_segments(capacity, DEFAULT_SEGMENTS)
-    }
-
-    /// As [`ShardedLru::new`] with an explicit stripe count (rounded up
-    /// to a power of two so segment selection is a mask).
-    pub fn with_segments(capacity: usize, segments: usize) -> ShardedLru<V> {
-        let nsegs = segments.max(1).next_power_of_two();
-        let per_seg = if capacity == 0 { 0 } else { capacity.div_ceil(nsegs) };
-        ShardedLru {
-            segments: (0..nsegs).map(|_| Mutex::new(Segment::new(per_seg))).collect(),
+impl<V: Clone> Lru<V> {
+    /// A cache holding at most `capacity` entries. Capacity 0 disables
+    /// caching.
+    pub fn new(capacity: usize) -> Lru<V> {
+        Lru {
+            inner: Mutex::new(List {
+                map: HashMap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
+                head: NIL,
+                tail: NIL,
+            }),
             capacity,
         }
     }
 
-    fn segment(&self, key: &str) -> &Mutex<Segment<V>> {
-        &self.segments[(fnv1a(key) as usize) & (self.segments.len() - 1)]
+    fn lock(&self) -> MutexGuard<'_, List<V>> {
+        self.inner.lock().expect("cache lock poisoned: a cache operation panicked")
     }
 
-    /// Total configured capacity.
+    /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Current number of cached entries across all segments.
+    /// Current number of cached entries.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        self.lock().map.len()
     }
 
     /// True when no entries are cached.
@@ -225,41 +163,63 @@ impl<V: Clone> ShardedLru<V> {
         if self.capacity == 0 {
             return None;
         }
-        let mut seg = self.segment(key).lock().unwrap();
-        let &i = seg.map.get(key)?;
-        if !valid(&seg.node(i).value) {
-            seg.remove(i);
+        let mut s = self.lock();
+        let &i = s.map.get(key)?;
+        if !valid(&s.node(i).value) {
+            s.remove(i);
             return None;
         }
-        seg.touch(i);
-        Some(seg.node(i).value.clone())
+        s.touch(i);
+        Some(s.node(i).value.clone())
     }
 
-    /// Inserts (or refreshes) `key`, evicting the segment's LRU entry
-    /// if it is full. Returns the evicted value, if any, so the caller
-    /// can attribute the eviction (the router charges it to the
-    /// evicted answer's shard). No-op (and `None`) at capacity 0.
+    /// Inserts (or refreshes) `key`, evicting the least recently used
+    /// entry when the cache already holds `capacity` entries. Returns
+    /// the evicted value, if any, so the caller can attribute the
+    /// eviction (the router charges it to the evicted answer's shard).
+    /// No-op (and `None`) at capacity 0.
     pub fn insert(&self, key: &str, value: V) -> Option<V> {
         if self.capacity == 0 {
             return None;
         }
-        self.segment(key).lock().unwrap().insert(key, value)
+        let mut s = self.lock();
+        if let Some(&i) = s.map.get(key) {
+            s.node_mut(i).value = value;
+            s.touch(i);
+            return None;
+        }
+        let evicted = if s.map.len() >= self.capacity {
+            let lru = s.tail;
+            Some(s.remove(lru))
+        } else {
+            None
+        };
+        let node = Node { key: key.to_string(), value, prev: NIL, next: NIL };
+        let i = match s.free.pop() {
+            Some(i) => {
+                s.slab[i] = Some(node);
+                i
+            }
+            None => {
+                s.slab.push(Some(node));
+                s.slab.len() - 1
+            }
+        };
+        s.map.insert(key.to_string(), i);
+        s.link_front(i);
+        evicted
     }
 
     /// Removes every entry whose value matches `stale`, returning how
     /// many were dropped.
     pub fn invalidate(&self, stale: impl Fn(&V) -> bool) -> u64 {
-        let mut dropped = 0u64;
-        for seg in &self.segments {
-            let mut seg = seg.lock().unwrap();
-            let stale_idx: Vec<usize> =
-                seg.map.values().copied().filter(|&i| stale(&seg.node(i).value)).collect();
-            for i in stale_idx {
-                seg.remove(i);
-                dropped += 1;
-            }
+        let mut s = self.lock();
+        let stale_idx: Vec<usize> =
+            s.map.values().copied().filter(|&i| stale(&s.node(i).value)).collect();
+        for &i in &stale_idx {
+            s.remove(i);
         }
-        dropped
+        stale_idx.len() as u64
     }
 }
 
@@ -267,14 +227,9 @@ impl<V: Clone> ShardedLru<V> {
 mod tests {
     use super::*;
 
-    /// One segment so eviction order is observable.
-    fn lru(capacity: usize) -> ShardedLru<u32> {
-        ShardedLru::with_segments(capacity, 1)
-    }
-
     #[test]
     fn eviction_follows_recency_not_insertion() {
-        let c = lru(3);
+        let c = Lru::new(3);
         assert_eq!(c.insert("a", 1), None);
         assert_eq!(c.insert("b", 2), None);
         assert_eq!(c.insert("c", 3), None);
@@ -290,7 +245,7 @@ mod tests {
 
     #[test]
     fn overwrite_refreshes_without_evicting() {
-        let c = lru(2);
+        let c = Lru::new(2);
         c.insert("a", 1);
         c.insert("b", 2);
         assert_eq!(c.insert("a", 10), None, "a refresh evicts nothing");
@@ -302,16 +257,38 @@ mod tests {
 
     #[test]
     fn insert_returns_the_evicted_value() {
-        let c = lru(2);
+        let c = Lru::new(2);
         assert_eq!(c.insert("a", 1), None);
         assert_eq!(c.insert("b", 2), None);
         assert_eq!(c.insert("a", 10), None, "refresh displaces nothing");
         assert_eq!(c.insert("c", 3), Some(2), "b was least recently used");
     }
 
+    /// The bound is exact: a cache of capacity K holds min(K, inserted)
+    /// distinct keys, and an insert evicts exactly when K entries were
+    /// already held, returning the least recently used value.
+    #[test]
+    fn holds_at_most_capacity_and_evicts_only_when_full() {
+        for capacity in 0..=20usize {
+            let c = Lru::new(capacity);
+            for i in 0..64u32 {
+                let held = c.len();
+                let evicted = c.insert(&format!("host{i}.example.net"), i);
+                let inserted = i as usize + 1;
+                assert_eq!(c.len(), capacity.min(inserted), "capacity {capacity}, insert {i}");
+                if capacity > 0 && held == capacity {
+                    // Distinct keys, never read: the oldest is the LRU.
+                    assert_eq!(evicted, Some(i - capacity as u32), "capacity {capacity}");
+                } else {
+                    assert_eq!(evicted, None, "capacity {capacity}, insert {i} held {held}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn capacity_zero_disables_everything() {
-        let c = lru(0);
+        let c = Lru::new(0);
         assert_eq!(c.capacity(), 0);
         assert_eq!(c.insert("a", 1), None);
         assert_eq!(c.get("a"), None);
@@ -321,7 +298,7 @@ mod tests {
 
     #[test]
     fn get_valid_drops_stale_entries() {
-        let c = lru(4);
+        let c = Lru::new(4);
         c.insert("a", 1);
         c.insert("b", 2);
         assert_eq!(c.get_valid("a", |&v| v > 1), None, "failed validation is a miss");
@@ -332,7 +309,7 @@ mod tests {
 
     #[test]
     fn invalidate_by_predicate() {
-        let c = ShardedLru::with_segments(100, 4);
+        let c = Lru::new(100);
         for i in 0..20u32 {
             c.insert(&format!("k{i}"), i);
         }
@@ -344,25 +321,11 @@ mod tests {
 
     #[test]
     fn slab_slots_are_reused() {
-        let c = lru(2);
+        let c = Lru::new(2);
         let evictions = (0..100u32).filter(|i| c.insert(&format!("k{i}"), *i).is_some()).count();
         assert_eq!(c.len(), 2);
         assert_eq!(evictions, 98);
         // The slab never grew past capacity: evicted slots were reused.
-        let seg = c.segments[0].lock().unwrap();
-        assert!(seg.slab.len() <= 2);
-    }
-
-    #[test]
-    fn keys_spread_across_segments() {
-        let c: ShardedLru<u32> = ShardedLru::with_segments(1024, 8);
-        for i in 0..256u32 {
-            c.insert(&format!("host{i}.example.com"), i);
-        }
-        let occupied = c.segments.iter().filter(|s| !s.lock().unwrap().map.is_empty()).count();
-        assert!(occupied >= 4, "FNV spread only reached {occupied}/8 segments");
-        for i in 0..256u32 {
-            assert_eq!(c.get(&format!("host{i}.example.com")), Some(i));
-        }
+        assert!(c.lock().slab.len() <= 2);
     }
 }

@@ -7,8 +7,8 @@
 //!   into N weight-balanced shards by registrable-domain suffix, plus
 //!   the shard-map manifest that records it. The manifest is written
 //!   for operators and scripts and never parsed.
-//! * [`cache`] — a std-only bounded LRU striped across mutex-guarded
-//!   segments, with read-time validation hooks. It keeps no counters:
+//! * [`cache`] — a std-only LRU behind one mutex that holds at most its
+//!   capacity, with read-time validation hooks. It keeps no counters:
 //!   the router counts its hits, misses, evictions and stale entries
 //!   into per-shard registry series, the one source of
 //!   [`CacheStats`].
@@ -33,7 +33,7 @@ pub mod cache;
 pub mod plan;
 pub mod router;
 
-pub use cache::ShardedLru;
+pub use cache::Lru;
 pub use plan::{
     plan, shard_file_name, split, suffix_weight, Assignment, PlanError, ShardMap,
     SHARDMAP_FILE_NAME, SHARDMAP_VERSION,

@@ -44,7 +44,7 @@
 //! lingers unservable until evicted; the eager invalidation after the
 //! swap just reclaims space early.
 
-use crate::cache::ShardedLru;
+use crate::cache::Lru;
 use crate::plan::split;
 use hoiho_obs::span::{detail, Layer, TraceCtx};
 use hoiho_obs::{Counter, Gauge, Obs, SpanHandle};
@@ -240,7 +240,7 @@ impl RouterObs {
 pub struct ShardRouter {
     /// The live routing state; each lookup reads it once.
     routes: RwLock<Arc<Routes>>,
-    cache: ShardedLru<CachedAnswer>,
+    cache: Lru<CachedAnswer>,
     /// Serializes reloads so state rebuilds never interleave.
     reload_lock: Mutex<()>,
     /// Per-shard and cache metrics and the shard-reload event stream.
@@ -262,7 +262,7 @@ impl ShardRouter {
         let routes = Routes::new(shards, vec![0; shard_models.len()], 0)?;
         Ok(ShardRouter {
             routes: RwLock::new(Arc::new(routes)),
-            cache: ShardedLru::new(cache_capacity),
+            cache: Lru::new(cache_capacity),
             reload_lock: Mutex::new(()),
             obs: RouterObs::register(&suffix_counts),
         })
@@ -291,7 +291,7 @@ impl ShardRouter {
     }
 
     /// The response cache (for stats and tests).
-    pub fn cache(&self) -> &ShardedLru<CachedAnswer> {
+    pub fn cache(&self) -> &Lru<CachedAnswer> {
         &self.cache
     }
 
@@ -885,13 +885,12 @@ mod tests {
 
     /// Every `CacheStats` field and the `STATS CLUSTER` cache line
     /// against counts made by hand from a scripted stream, at capacity
-    /// 0 and at capacity 8: eight stripes of one entry each, so the two
-    /// exact-route names below, which share a stripe, evict each other.
+    /// 0 and at capacity 2: one LRU of two entries, so each miss that
+    /// finds it full evicts its least recently used entry.
     #[test]
     fn cache_stats_match_an_independent_tally() {
         const EQ: &str = "a.b.as64500.equinix.com";
         const EQ_UPPER: &str = "A.B.AS64500.EQUINIX.COM";
-        // Shares EQ's stripe (FNV-1a of the key, low three bits).
         const NTS: &str = "ge0-2.01.p.as15576.nts.ch";
         const UNCOVERED: &str = "nothing.example.org";
         let stats = |hits, misses, inserts, evictions, invalidations| CacheStats {
@@ -901,9 +900,9 @@ mod tests {
             evictions,
             invalidations,
         };
-        for capacity in [0usize, 8] {
+        for capacity in [0usize, 2] {
             let on = capacity > 0;
-            // Per-field hand counts at capacity 8; at capacity 0 every
+            // Per-field hand counts at capacity 2; at capacity 0 every
             // lookup is a miss and nothing is written or dropped.
             let tally = |hits: u64, misses: u64, evictions, invalidations, lookups: u64| {
                 if on {
@@ -916,50 +915,60 @@ mod tests {
             let router = Arc::new(ShardRouter::from_model(&m, 2, capacity).unwrap());
             let routing = owners(&router);
             let eq = routing["equinix.com"];
+            // NTS's exact entry must outlive the reload of EQ's shard.
+            assert_ne!(routing["nts.ch"], eq);
             let ask = |h: &str, asn: Option<u32>| assert_eq!(router.lookup(h).asn, asn, "{h}");
+            // Comments give the cache after each lookup, most recently
+            // used first.
 
             // Hits, misses and an uncovered name (a cached negative
             // answer on the shard="none" series).
-            ask(EQ, Some(64500)); // miss
+            ask(EQ, Some(64500)); // miss: [EQ]
             ask(EQ, Some(64500)); // hit
             ask(EQ_UPPER, Some(64500)); // hit: the same key
-            ask(UNCOVERED, None); // miss
+            ask(UNCOVERED, None); // miss: [UNCOVERED, EQ]
             ask(UNCOVERED, None); // hit
             assert_eq!(router.cache_stats(), tally(3, 2, 0, 0, 5), "capacity {capacity}");
             assert_eq!(router.cache().len(), if on { 2 } else { 0 });
 
-            // Eviction: NTS takes EQ's stripe, then EQ takes it back.
-            ask(NTS, Some(15576)); // miss, evicts EQ
-            ask(EQ, Some(64500)); // miss, evicts NTS
+            // Eviction: each miss finds the cache full.
+            ask(NTS, Some(15576)); // miss, evicts EQ: [NTS, UNCOVERED]
+            ask(EQ, Some(64500)); // miss, evicts UNCOVERED: [EQ, NTS]
             assert_eq!(router.cache_stats(), tally(3, 4, 2, 0, 7), "capacity {capacity}");
             assert_eq!(router.cache().len(), if on { 2 } else { 0 });
 
             // A stale entry: EQ's tag now predates its shard's live
             // generation, so the lookup drops it and recomputes.
             plant_stale_generation(&router, eq);
-            ask(EQ, Some(64500)); // stale: an invalidation and a miss
+            ask(EQ, Some(64500)); // stale: an invalidation and a miss; [EQ, NTS]
             assert_eq!(router.cache_stats(), tally(3, 5, 2, 1, 8), "capacity {capacity}");
 
-            // A reload of EQ's shard drops EQ's exact entry and the
-            // uncovered name's miss-route entry.
+            // A reload of EQ's shard drops EQ's exact entry; NTS's exact
+            // entry on the other shard stays valid: [NTS].
             let own = Model {
                 entries: m.entries.iter().filter(|e| routing[&e.suffix] == eq).cloned().collect(),
             };
             router.reload_shard(eq, &own).unwrap();
-            assert_eq!(router.cache().len(), 0);
-            assert_eq!(router.cache_stats(), tally(3, 5, 2, 3, 8), "capacity {capacity}");
-            ask(UNCOVERED, None); // miss
-            ask(EQ, Some(64500)); // miss
-            assert_eq!(router.cache_stats(), tally(3, 7, 2, 3, 10), "capacity {capacity}");
+            assert_eq!(router.cache().len(), if on { 1 } else { 0 });
+            assert_eq!(router.cache_stats(), tally(3, 5, 2, 2, 8), "capacity {capacity}");
+            ask(UNCOVERED, None); // miss: [UNCOVERED, NTS]
+            ask(EQ, Some(64500)); // miss, evicts NTS: [EQ, UNCOVERED]
+            assert_eq!(router.cache_stats(), tally(3, 7, 3, 2, 10), "capacity {capacity}");
 
             let body = ClusterBackend::new(Arc::clone(&router)).cluster_stats().unwrap();
             let line = body.lines().find(|l| l.starts_with("cache\t")).unwrap();
             let want = if on {
-                "cache\tcapacity=8\tlen=2\thits=3\tmisses=7\tinserts=7\tevictions=2\tinvalidations=3"
+                "cache\tcapacity=2\tlen=2\thits=3\tmisses=7\tinserts=7\tevictions=3\tinvalidations=2"
             } else {
                 "cache\tcapacity=0\tlen=0\thits=0\tmisses=10\tinserts=0\tevictions=0\tinvalidations=0"
             };
             assert_eq!(line, want);
+
+            // A second reload drops EQ's exact entry again and, the
+            // epoch having moved, the uncovered name's miss-route entry.
+            router.reload_shard(eq, &own).unwrap();
+            assert_eq!(router.cache().len(), 0);
+            assert_eq!(router.cache_stats(), tally(3, 7, 3, 4, 10), "capacity {capacity}");
         }
     }
 

@@ -106,17 +106,20 @@ props! {
 
     /// Serving correctness: for any request stream, a cache-enabled
     /// router answers byte-identically to an uncached one — including
-    /// when one shard is hot-reloaded mid-stream on both.
+    /// when one shard is hot-reloaded mid-stream on both, and at
+    /// capacities small enough to evict — and never holds more entries
+    /// than its capacity.
     fn cached_equals_uncached_across_reload(
         m in model(),
         shards in 1u32..5,
+        capacity in 1usize..=40,
         picks in vec_of(0usize..10_000, 8..=48usize),
         reload_at in 0usize..48,
         shard_pick in 0usize..8,
     ) {
         let hosts = universe(&m);
         let (parts, _) = split(&m, shards).expect("split");
-        let cached = ShardRouter::new(&parts, 32).expect("cached router");
+        let cached = ShardRouter::new(&parts, capacity).expect("cached router");
         let uncached = ShardRouter::new(&parts, 0).expect("uncached router");
 
         // The mid-stream reload: shard j, with its last convention
@@ -134,6 +137,8 @@ props! {
             let h = &hosts[(pick % 7 * step.max(1)) % hosts.len()];
             let (a, b) = (cached.lookup(h), uncached.lookup(h));
             prop_assert!(a == b, "step {step}: host {h} diverged: {a:?} != {b:?}");
+            let len = cached.cache().len();
+            prop_assert!(len <= capacity, "step {step}: {len} entries over capacity {capacity}");
         }
         // The exercise must have produced real cache traffic.
         let s = cached.cache_stats();

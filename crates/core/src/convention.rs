@@ -54,18 +54,6 @@ impl NamingConvention {
         let lower = hostname.to_ascii_lowercase();
         self.regexes.iter().any(|r| r.is_match(&lower))
     }
-
-    /// Parses the text form produced by `Display`: a suffix line followed
-    /// by one indented regex per line. Blank lines and `#` comments are
-    /// ignored. Multiple conventions can be concatenated; see
-    /// [`parse_conventions`].
-    pub fn parse_block(text: &str) -> Result<NamingConvention, String> {
-        let mut all = parse_conventions(text)?;
-        match all.len() {
-            1 => Ok(all.remove(0)),
-            n => Err(format!("expected one convention block, found {n}")),
-        }
-    }
 }
 
 impl fmt::Display for NamingConvention {
@@ -134,8 +122,7 @@ mod tests {
     fn display_and_parse_roundtrip() {
         let c = nc();
         let text = c.to_string();
-        let parsed = NamingConvention::parse_block(&text).unwrap();
-        assert_eq!(parsed, c);
+        assert_eq!(parse_conventions(&text).unwrap(), vec![c]);
     }
 
     #[test]
@@ -160,7 +147,6 @@ nts.ch
         assert!(parse_conventions("  ^(\\d+)$\n").is_err()); // regex before suffix
         assert!(parse_conventions("x.com\n").is_err()); // suffix without regexes
         assert!(parse_conventions("x.com\n  ((\n").is_err()); // bad regex
-        assert!(NamingConvention::parse_block("a.com\n  (\\d+)x$\nb.com\n  (\\d+)y$\n").is_err());
     }
 
     #[test]

@@ -16,11 +16,6 @@
 /// crates decoupled from `std::net` parsing behaviour.
 pub type Ipv4 = [u8; 4];
 
-/// Formats an address in dotted-quad notation.
-pub fn ipv4_to_string(ip: Ipv4) -> String {
-    format!("{}.{}.{}.{}", ip[0], ip[1], ip[2], ip[3])
-}
-
 /// Parses dotted-quad notation (no leading-zero tolerance beyond plain
 /// `u8` parsing). Returns `None` on malformed input.
 pub fn parse_ipv4(s: &str) -> Option<Ipv4> {
@@ -110,9 +105,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_and_render() {
+    fn parse_dotted_quads() {
         assert_eq!(parse_ipv4("192.0.2.1"), Some([192, 0, 2, 1]));
-        assert_eq!(ipv4_to_string([192, 0, 2, 1]), "192.0.2.1");
         assert_eq!(parse_ipv4("192.0.2"), None);
         assert_eq!(parse_ipv4("192.0.2.1.5"), None);
         assert_eq!(parse_ipv4("192.0.2.256"), None);

@@ -226,21 +226,6 @@ impl Regex {
         &self.elems
     }
 
-    /// True if the regex contains the `^` anchor.
-    pub fn anchored_start(&self) -> bool {
-        matches!(self.elems.first(), Some(Elem::StartAnchor))
-    }
-
-    /// True if the regex contains the `$` anchor.
-    pub fn anchored_end(&self) -> bool {
-        matches!(self.elems.last(), Some(Elem::EndAnchor))
-    }
-
-    /// Number of capture groups (`(\d+)`) in the regex.
-    pub fn capture_count(&self) -> usize {
-        self.elems.iter().filter(|e| matches!(e, Elem::CaptureDigits)).count()
-    }
-
     /// Index of the first capture element, if any.
     pub fn capture_index(&self) -> Option<usize> {
         self.elems.iter().position(|e| matches!(e, Elem::CaptureDigits))

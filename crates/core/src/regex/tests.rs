@@ -178,13 +178,13 @@ fn lit_coalescing_in_constructor() {
 #[test]
 fn capture_metadata() {
     let r = rx(r"^as(\d+)\.x\.com$");
-    assert!(r.anchored_start());
-    assert!(r.anchored_end());
-    assert_eq!(r.capture_count(), 1);
+    assert_eq!(r.elems().first(), Some(&Elem::StartAnchor));
+    assert_eq!(r.elems().last(), Some(&Elem::EndAnchor));
+    assert_eq!(r.elems().iter().filter(|e| matches!(e, Elem::CaptureDigits)).count(), 1);
     assert_eq!(r.capture_index(), Some(2));
     let r2 = rx(r"as(\d+)\.x\.com");
-    assert!(!r2.anchored_start());
-    assert!(!r2.anchored_end());
+    assert_ne!(r2.elems().first(), Some(&Elem::StartAnchor));
+    assert_ne!(r2.elems().last(), Some(&Elem::EndAnchor));
 }
 
 #[test]

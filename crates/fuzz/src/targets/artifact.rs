@@ -7,17 +7,25 @@
 //! 1. render→parse→render fixpoint — `render(m)` reparses and renders
 //!    to the same bytes;
 //! 2. sharded-vs-single differential: a [`ShardRouter`] over 1–3
-//!    shards of the model must answer byte-identically to a single
-//!    [`EngineBackend`] for hostnames derived from the model's own
-//!    suffixes (plus misses), both singly and batched — the
-//!    cluster-tier invariant the whole deployment story rests on.
+//!    shards of the model, its cache at a capacity in {0, 1, 2, 3, 64},
+//!    must answer byte-identically to a single [`EngineBackend`] for
+//!    hostnames derived from the model's own suffixes (plus misses) and
+//!    five hostile spellings of each, every name asked twice so small
+//!    caches evict, both singly and batched — the cluster-tier
+//!    invariant the whole deployment story rests on;
+//! 3. learner-direct: each answer that names a suffix carries that
+//!    model entry's `NamingConvention::extract`;
+//! 4. the cache bound: the router's cache ends holding
+//!    `min(capacity, distinct names)` entries.
 
 use super::{Target, HOSTCHARS};
 use crate::corpus::case_hash;
 use crate::input::FuzzInput;
+use hoiho::convention::NamingConvention;
 use hoiho_cluster::{ClusterBackend, ShardRouter};
 use hoiho_serve::server::Backend;
 use hoiho_serve::{Engine, EngineBackend, Model};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Suffix pool: PSL-real and PSL-weird shapes both.
@@ -35,6 +43,10 @@ const REGEXES: &[&str] = &[
 
 const CLASSES: &[&str] = &["good", "promising", "poor", "junk", ""];
 const TAXONOMIES: &[&str] = &["start", "end", "bare", "none", "x"];
+
+/// Cache capacities: disabled, three that evict on every host list,
+/// and one larger than any host list.
+const CAPACITIES: &[usize] = &[0, 1, 2, 3, 64];
 
 pub struct ArtifactTarget;
 
@@ -127,35 +139,83 @@ impl Target for ArtifactTarget {
             return Err("render→parse→render is not a fixpoint".to_string());
         }
 
-        // Sharded vs single. Shard count derives from the case bytes so
-        // replays are exact.
+        // Sharded vs single. Shard count and cache capacity derive from
+        // the case bytes so replays are exact.
         let single = EngineBackend::new(Arc::new(Engine::new(&model)));
-        let shards = 1 + (case_hash(case) % 3) as u32;
-        let router = ShardRouter::from_model(&model, shards, 64)
-            .map_err(|e| format!("split({shards}) failed on a valid model: {e}"))?;
-        let cluster = ClusterBackend::new(Arc::new(router));
+        let hash = case_hash(case);
+        let shards = 1 + (hash % 3) as u32;
+        let capacity = CAPACITIES[(hash / 3 % CAPACITIES.len() as u64) as usize];
+        let router = Arc::new(
+            ShardRouter::from_model(&model, shards, capacity)
+                .map_err(|e| format!("split({shards}) failed on a valid model: {e}"))?,
+        );
+        let cluster = ClusterBackend::new(Arc::clone(&router));
+        let learner: BTreeMap<&str, NamingConvention> =
+            model.entries.iter().map(|e| (e.suffix.as_str(), e.convention())).collect();
         let mut hosts: Vec<String> = vec!["unrelated.example.org".into(), String::new()];
         for e in &model.entries {
             hosts.push(format!("as64500.{}", e.suffix));
             hosts.push(format!("xe-0-1.{}", e.suffix));
             hosts.push(e.suffix.clone());
         }
+        let hosts: Vec<String> = hosts.iter().flat_map(|h| spellings(h)).collect();
         let off = hoiho_obs::TraceCtx::off();
-        for h in &hosts {
+        for h in hosts.iter().chain(&hosts) {
             let a = single.query(h, &off);
             let b = cluster.query(h, &off);
             if a != b {
                 return Err(format!(
-                    "sharded({shards}) diverges from single engine on {h:?}: {a:?} vs {b:?}"
+                    "sharded({shards}, cache {capacity}) diverges from single engine on {h:?}: \
+                     {a:?} vs {b:?}"
                 ));
+            }
+            if let Some(suffix) = &b.suffix {
+                let want = learner[&**suffix].extract(h);
+                if b.asn != want {
+                    return Err(format!(
+                        "{h:?} answered {:?} under {suffix}; the learner says {want:?}",
+                        b.asn
+                    ));
+                }
             }
         }
         let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
         let a = single.query_batch(&refs, &off);
         let b = cluster.query_batch(&refs, &off);
         if a != b {
-            return Err(format!("sharded({shards}) batch diverges from single engine"));
+            return Err(format!(
+                "sharded({shards}, cache {capacity}) batch diverges from single engine"
+            ));
+        }
+        let keys = hosts.iter().map(|h| h.to_ascii_lowercase()).collect::<BTreeSet<_>>().len();
+        let len = router.cache().len();
+        if len != capacity.min(keys) {
+            return Err(format!("cache of capacity {capacity} holds {len} of {keys} names"));
         }
         Ok(())
     }
+}
+
+/// `host` and five hostile spellings of it: uppercase, a trailing dot,
+/// a leading dot, an empty label, and each digit run past `u32`.
+fn spellings(host: &str) -> [String; 6] {
+    let mut overflow = String::with_capacity(host.len() + 16);
+    let mut in_digits = false;
+    for c in host.chars() {
+        let digit = c.is_ascii_digit();
+        if digit && !in_digits {
+            overflow.push_str("99999999999");
+        } else if !digit {
+            overflow.push(c);
+        }
+        in_digits = digit;
+    }
+    [
+        host.to_string(),
+        host.to_ascii_uppercase(),
+        format!("{host}."),
+        format!(".{host}"),
+        host.replacen('.', "..", 1),
+        overflow,
+    ]
 }

@@ -77,15 +77,9 @@ impl Obs {
     /// threshold. Trace sampling starts disabled; enable it with
     /// `obs.sampler().configure(every, seed)`.
     pub fn new() -> Obs {
-        Obs::with_event_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A fresh context whose event ring holds at most `capacity`
-    /// events.
-    pub fn with_event_capacity(capacity: usize) -> Obs {
         Obs {
             registry: Registry::new(),
-            events: EventLog::new(capacity),
+            events: EventLog::new(DEFAULT_EVENT_CAPACITY),
             spans: SpanRing::new(span::DEFAULT_SPAN_CAPACITY),
             sampler: Sampler::disabled(),
             profiler: Profiler::new(),

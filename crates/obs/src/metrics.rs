@@ -166,24 +166,30 @@ pub fn bucket_bound(i: usize) -> Option<u64> {
 
 /// Nearest-rank quantile over raw per-bucket counts (as produced by
 /// [`Histogram::bucket_counts`], or a windowed difference of two such
-/// vectors). Reports the upper bound of the bucket holding the
-/// `ceil(q·count)`-th observation; the unbounded last bucket reports
-/// its lower bound (no exact max is available for a window). Returns 0
-/// when empty.
-pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
+/// vectors): the upper bound of the bucket holding the
+/// `ceil(q·count)`-th observation, or `max` when that bucket holds the
+/// maximum, so no quantile exceeds it and `q = 1.0` gives it exactly.
+/// `max` = 0 means unknown, as for a window; then the unbounded last
+/// bucket reports its lower bound. Returns 0 when empty.
+pub fn quantile_from_counts(counts: &[u64], max: u64, q: f64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
         return 0;
     }
     let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
     let mut cum = 0u64;
-    for (i, &n) in counts.iter().enumerate() {
-        cum += n;
-        if n > 0 && cum >= rank {
-            return bucket_bound(i).unwrap_or(1u64 << (BUCKETS - 1));
-        }
+    let i = counts
+        .iter()
+        .position(|&n| {
+            cum += n;
+            cum >= rank
+        })
+        .expect("the rank is at most the total");
+    if max > 0 && i == bucket_of(max) {
+        max
+    } else {
+        bucket_bound(i).unwrap_or(1u64 << (BUCKETS - 1))
     }
-    bucket_bound(counts.len().saturating_sub(1)).unwrap_or(1u64 << (BUCKETS - 1))
 }
 
 impl Histogram {
@@ -235,28 +241,11 @@ impl Histogram {
         self.0.max.load(Ordering::Relaxed)
     }
 
-    /// Nearest-rank quantile from the buckets: the upper bound of the
-    /// bucket holding the `ceil(q·count)`-th observation, except that
-    /// the highest non-empty bucket reports the exact maximum (so
-    /// `quantile(1.0) == max()`). Returns 0 when empty.
+    /// Nearest-rank quantile by [`quantile_from_counts`]'s rule, with
+    /// the exact maximum known (so `quantile(1.0) == max()`). Returns 0
+    /// when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let snap = self.snapshot();
-        let count = snap.count;
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-        for (i, &(_, cum)) in snap.buckets.iter().enumerate() {
-            if cum >= rank {
-                // The last non-empty bucket's bound would overshoot the
-                // true tail; the tracked max is exact there.
-                if i + 1 == snap.buckets.len() {
-                    return snap.max;
-                }
-                return snap.buckets[i].0.unwrap_or(snap.max);
-            }
-        }
-        snap.max
+        quantile_from_counts(&self.bucket_counts(), self.max(), q)
     }
 
     /// Raw per-bucket counts (length [`BUCKETS`], zeros included).
@@ -701,13 +690,17 @@ mod tests {
         let counts = h.bucket_counts();
         assert_eq!(counts.len(), BUCKETS);
         assert_eq!(counts.iter().sum::<u64>(), 5);
-        // Every quantile except the tail matches (the tail estimates a
-        // bucket bound instead of the exact tracked max).
-        assert_eq!(quantile_from_counts(&counts, 0.5), h.quantile(0.5));
-        assert_eq!(quantile_from_counts(&counts, 0.2), h.quantile(0.2));
-        assert_eq!(quantile_from_counts(&counts, 1.0), bucket_bound(bucket_of(7000)).unwrap());
-        assert_eq!(quantile_from_counts(&[], 0.5), 0);
-        assert_eq!(quantile_from_counts(&[0, 0], 0.99), 0);
+        // With the maximum known, every quantile matches, the tail
+        // included: ranks 1 and 3 report their buckets' bounds, and
+        // rank 5 falls in the maximum's bucket, which reports 7000.
+        for (q, want) in [(0.2, 1), (0.5, 15), (0.99, 7000), (1.0, 7000)] {
+            assert_eq!(quantile_from_counts(&counts, h.max(), q), want, "q={q}");
+            assert_eq!(h.quantile(q), want, "q={q}");
+        }
+        // Unknown (0), as for a window: the tail reports its bucket bound.
+        assert_eq!(quantile_from_counts(&counts, 0, 1.0), bucket_bound(bucket_of(7000)).unwrap());
+        assert_eq!(quantile_from_counts(&[], 0, 0.5), 0);
+        assert_eq!(quantile_from_counts(&[0, 0], 0, 0.99), 0);
     }
 
     #[test]

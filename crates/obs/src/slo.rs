@@ -184,7 +184,7 @@ pub struct SloWindowData {
     /// latency family).
     pub latency_counts: Vec<u64>,
     /// Exact latency max in ns (0 when unknown — windowed data falls
-    /// back to the p100 bucket bound).
+    /// back to bucket bounds, see [`quantile_from_counts`]).
     pub latency_max_ns: u64,
     pub errors: u64,
     pub requests: u64,
@@ -215,11 +215,7 @@ impl SloWindowData {
         if self.latency_counts.iter().sum::<u64>() == 0 {
             return None;
         }
-        let ns = if q >= 1.0 && self.latency_max_ns > 0 {
-            self.latency_max_ns
-        } else {
-            quantile_from_counts(&self.latency_counts, q)
-        };
+        let ns = quantile_from_counts(&self.latency_counts, self.latency_max_ns, q);
         Some(ns as f64 / 1_000_000.0)
     }
 
@@ -517,7 +513,7 @@ mod tests {
     fn values_and_breaches() {
         // 10 requests at ~1ms, one protocol error, 3/4 cache hits.
         let w = window(&[1_000_000; 10], 1, 10, 3, 1);
-        assert!(w.value_of(SloMetric::P99Ms).unwrap() < 3.0);
+        assert_eq!(w.value_of(SloMetric::P99Ms), Some(1.0));
         assert!((w.value_of(SloMetric::ErrorRate).unwrap() - 1.0 / 11.0).abs() < 1e-12);
         assert_eq!(w.value_of(SloMetric::CacheHitRate), Some(0.75));
         assert_eq!(w.value_of(SloMetric::MaxMs), Some(1.0));
@@ -543,7 +539,7 @@ mod tests {
             },
         ];
         let st = evaluate(&objs, &w, &[]);
-        assert!(st[0].breach, "p99 ~2ms > 0.5ms must breach");
+        assert!(st[0].breach, "p99 1ms > 0.5ms must breach");
         assert!(!st[1].breach);
         assert!(st[2].breach, "hit rate 0.75 < 0.9 must breach");
         assert_eq!(st[0].status(), "breach");
@@ -607,6 +603,26 @@ mod tests {
         assert_eq!(snap.data.cache_hits, 3);
         assert_eq!(snap.data.latency_counts.iter().sum::<u64>(), 1);
         assert_eq!(snap.data.latency_max_ns, 2_000_000);
+    }
+
+    /// The lifetime latency quantiles follow the histogram's one rule:
+    /// 100 observations of 70µs share a bucket bounded at 131.071µs,
+    /// and that bucket holds the known maximum, so p99 reports 70µs.
+    #[test]
+    fn lifetime_quantiles_never_exceed_the_max() {
+        let reg = Registry::new();
+        let h = reg.histogram(METRIC_LATENCY, &[]);
+        for _ in 0..100 {
+            h.observe(70_000);
+        }
+        let data = snapshot_registry(&reg, 0).data;
+        let p99 = data.value_of(SloMetric::P99Ms).unwrap();
+        assert_eq!(p99, h.quantile(0.99) as f64 / 1_000_000.0);
+        assert_eq!(h.quantile(0.99), 70_000);
+        assert!(p99 <= data.value_of(SloMetric::MaxMs).unwrap());
+        // A window does not know its maximum: it reports the bound.
+        let w = SloWindowData::delta(&SloWindowData::default(), &data);
+        assert_eq!(w.value_of(SloMetric::P99Ms), Some(0.131071));
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl ReqSpan {
         self.end_ns.saturating_sub(self.start_ns)
     }
 
-    /// True for the request's root span.
-    pub fn is_root(&self) -> bool {
-        self.parent == NO_PARENT
-    }
-
     /// `layer:detail`, the frame name used by the Chrome and collapsed
     /// renderers.
     pub fn frame(&self) -> String {
@@ -353,13 +348,6 @@ impl Sampler {
     /// A disabled sampler (`sample()` always `None`).
     pub fn disabled() -> Sampler {
         Sampler { every: AtomicU64::new(0), seed: AtomicU64::new(0), seq: AtomicU64::new(0) }
-    }
-
-    /// A sampler taking every `every`-th request, ids seeded by `seed`.
-    pub fn new(every: u64, seed: u64) -> Sampler {
-        let s = Sampler::disabled();
-        s.configure(every, seed);
-        s
     }
 
     /// Reconfigures rate and seed and resets the request sequence.
@@ -578,16 +566,6 @@ impl<'a> TraceCtx<'a> {
         }
     }
 
-    /// True when this request is sampled.
-    pub fn is_sampled(&self) -> bool {
-        self.active.is_some()
-    }
-
-    /// The trace id, when sampled.
-    pub fn trace_id(&self) -> Option<u64> {
-        self.active.as_ref().map(|a| a.trace)
-    }
-
     /// Opens a span under the current parent. The handle records on
     /// drop; nest handles lexically so parents restore in LIFO order.
     /// On a disabled context this is a no-op handle.
@@ -634,11 +612,6 @@ pub struct SpanHandle<'c> {
 }
 
 impl SpanHandle<'_> {
-    /// True when this handle will record (sampled and within budget).
-    pub fn active(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Sets the [`detail`] code (what happened).
     pub fn detail(&mut self, code: u8) {
         if let Some(h) = &mut self.inner {
@@ -828,14 +801,20 @@ mod tests {
 
     #[test]
     fn sampler_is_deterministic_and_one_in_n() {
-        let a = Sampler::new(3, 42);
-        let b = Sampler::new(3, 42);
+        // As a server does: built disabled, then configured.
+        let sampler = |every, seed| {
+            let s = Sampler::disabled();
+            s.configure(every, seed);
+            s
+        };
+        let a = sampler(3, 42);
+        let b = sampler(3, 42);
         let ta: Vec<Option<u64>> = (0..9).map(|_| a.sample()).collect();
         let tb: Vec<Option<u64>> = (0..9).map(|_| b.sample()).collect();
         assert_eq!(ta, tb, "fixed seed ⇒ identical decisions and ids");
         assert_eq!(ta.iter().filter(|t| t.is_some()).count(), 3);
         assert!(ta[0].is_some() && ta[3].is_some() && ta[6].is_some());
-        let other = Sampler::new(3, 43);
+        let other = sampler(3, 43);
         assert_ne!(other.sample(), ta[0], "different seed ⇒ different ids");
         let off = Sampler::disabled();
         assert!(!off.enabled());
@@ -887,7 +866,7 @@ mod tests {
         assert_eq!(spans[1].shard, 1);
         assert_eq!(spans[1].generation, 3);
         assert_eq!(spans[2].layer, Layer::Server);
-        assert!(spans[2].is_root());
+        assert_eq!(spans[2].parent, NO_PARENT);
         assert_eq!(spans[2].duration_ns(), 22);
         assert_eq!(spans[1].duration_ns(), 8);
         assert_eq!(spans[0].duration_ns(), 2);
@@ -898,9 +877,7 @@ mod tests {
     fn disabled_ctx_records_nothing() {
         let ring = SpanRing::new(4);
         let ctx = TraceCtx::off();
-        assert!(!ctx.is_sampled());
         let mut h = ctx.span(Layer::Server);
-        assert!(!h.active());
         h.detail(detail::QUERY);
         drop(h);
         assert_eq!(ring.recorded(), 0);

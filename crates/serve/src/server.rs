@@ -2039,7 +2039,7 @@ mod tests {
         let spans = span::parse_jsonl(&text).unwrap();
         // Two sampled requests, each a server root + an engine child.
         assert_eq!(spans.len(), 4, "{text}");
-        let roots: Vec<_> = spans.iter().filter(|s| s.is_root()).collect();
+        let roots: Vec<_> = spans.iter().filter(|s| s.parent == span::NO_PARENT).collect();
         assert_eq!(roots.len(), 2, "{text}");
         assert!(roots.iter().all(|s| s.layer == Layer::Server && s.detail == detail::QUERY));
         assert_ne!(roots[0].trace, roots[1].trace);

@@ -21,7 +21,10 @@
 #      gate by name: the engine and 1- and 3-shard routers (cached and
 #      uncached) must answer every named interface of a default-scale
 #      world, in its own and seven hostile spellings, as the learner's
-#      convention does, then the two learner work-count gates by name:
+#      convention does, then the cache bound gate by name: a response
+#      cache of every capacity 0–20 holds min(capacity, inserted)
+#      entries and evicts its least recently used entry exactly when
+#      it is full, then the two learner work-count gates by name:
 #      one `learn_suffix` call on fixed data stays within its committed
 #      allocation budget and its committed number of compiled-program
 #      runs, then a compile of the devkit benches (`hoiho-bench`), so
@@ -110,6 +113,15 @@ cargo test -q --offline --test serve_pipeline \
     | grep -q "1 passed" \
     || { echo "tier1: every-route serving gate did not run/pass" >&2; exit 1; }
 echo "tier1: every-route serving gate OK"
+
+# --- cache bound gate: the response cache holds at most its capacity
+# and evicts only when full, at every capacity 0–20, by name, like the
+# gates above ---
+cargo test -q --offline -p hoiho-cluster --lib \
+    cache::tests::holds_at_most_capacity_and_evicts_only_when_full -- --exact \
+    | grep -q "1 passed" \
+    || { echo "tier1: cache bound gate did not run/pass" >&2; exit 1; }
+echo "tier1: cache bound gate OK"
 
 # --- learner work-count gates: the allocations and the compiled-program
 # runs of one learn_suffix call on the Figure 4 data and a 400-host
